@@ -36,6 +36,7 @@ from .instances import (
     PstInstance,
     Solution,
     VertexRateSolution,
+    _DisjointSets,
     canonical_edge,
 )
 from .spiders import RateTree, SpiderDecomposition
@@ -207,21 +208,8 @@ def bottleneck_tree(
         for (u, v) in inst.graph.edges
         if u in selected and v in selected
     )
-    parent = {v: v for v in selected}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    kept = []
-    for _, (u, v) in pool:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            kept.append((u, v))
-    return tuple(kept)
+    ds = _DisjointSets(inst.graph.n)
+    return tuple(pair for _, pair in pool if ds.union(*pair))
 
 
 def parse_solution(text: str, inst: Instance) -> Solution:

@@ -9,6 +9,14 @@ weight tables and the level assignment live on vertices instead.
 Levels are stored as indices 1..k (0 means "not selected"); the optional
 ``priorities`` tuple on :class:`PriorityGraph` records the level values, but
 all algorithms compare indices only.  Weight at level 0 is always 0.
+
+Three kernels shared by the whole package live here.  ``_tree_parents``
+walks a rooted tree and returns its parent map (the root mapped to 0) and
+its vertices parents first, each vertex's children in ascending id order.
+``_raise_to_subtree_max`` takes such a parents-first parent map and raises
+every vertex's value to the largest value in its subtree; it computes
+forced rates, the oracle's tree scores and the marked-set trimming of rate
+trees.  ``_DisjointSets`` is the union-find behind every Kruskal sweep.
 """
 
 from __future__ import annotations
@@ -122,11 +130,20 @@ class PstInstance:
         for row in self.edge_weights:
             if len(row) != self.graph.k:
                 raise ValueError("weight rows must have one entry per level")
+        self._columns: dict[int, list[float]] = {}
 
     def weight(self, eid: int, level: int) -> float:
         if level == 0:
             return 0.0
         return self.edge_weights[eid][level - 1]
+
+    def _level_column(self, level: int) -> list[float]:
+        """Every edge's weight at one level by edge id, built once per level."""
+        col = self._columns.get(level)
+        if col is None:
+            col = [row[level - 1] if level else 0.0 for row in self.edge_weights]
+            self._columns[level] = col
+        return col
 
     def weight_of_pair(self, pair: tuple[int, int], level: int) -> float:
         eid = self.graph.edge_index.get(canonical_edge(*pair))
@@ -233,7 +250,7 @@ def validate_instance(inst: Instance) -> list[str]:
             u, v = g.edges[eid]
             if any(w < 0 for w in row) or any(not math.isfinite(w) for w in row):
                 out.append(f"negative or non-finite weight at edge ({u},{v})")
-            if any(b < a for a, b in zip(row, row[1:])) or (row and row[0] < 0):
+            if any(b < a for a, b in zip(row, row[1:])):
                 out.append(f"monotonicity at edge ({u},{v})")
     else:
         for v in range(1, g.n + 1):
@@ -270,10 +287,12 @@ def solution_weight(inst: Instance, sol: Solution) -> float:
 
 
 def _tree_parents(
-    n: int, root: int, edges: Iterable[tuple[int, int]]
+    root: int, edges: Iterable[tuple[int, int]]
 ) -> Optional[tuple[dict[int, int], list[int]]]:
-    """Parent map and top-down discovery order of the tree reached from root.
+    """Parent map and parents-first order of the tree reached from root.
 
+    The root maps to 0, and the parent map lists its keys in the same
+    parents-first order.  Children are discovered in ascending id order.
     Returns None if the reached edges hold a cycle.  Only the component
     containing the root is explored; the caller decides whether unreached
     edges are an error.
@@ -300,6 +319,41 @@ def _tree_parents(
     return parent, order
 
 
+def _raise_to_subtree_max(parent: dict[int, int], value: dict) -> None:
+    """Raise each vertex's value to the largest value in its subtree.
+
+    ``parent`` maps every vertex to its parent and the root to 0, and must
+    list parents before children, as the map from ``_tree_parents`` does;
+    ``value`` covers the same vertices and is updated in place.
+    """
+    for v in reversed(parent):
+        p = parent[v]
+        if p and value[v] > value[p]:
+            value[p] = value[v]
+
+
+class _DisjointSets:
+    """Union-find over vertex ids 1..n with path halving."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n + 1))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
 def check_feasible(inst: Instance, sol: Solution) -> Optional[str]:
     """Return None if the solution is feasible, else the first violation.
 
@@ -316,7 +370,7 @@ def _check_pst(inst: PstInstance, sol: EdgeRateSolution) -> Optional[str]:
     for pair in sol.rates:
         if pair not in inst.graph.edge_index:
             return f"unknown edge ({pair[0]},{pair[1]})"
-    reached = _tree_parents(inst.graph.n, inst.source, sol.rates)
+    reached = _tree_parents(inst.source, sol.rates)
     if reached is None:
         return "selected edges contain a cycle"
     parent, _ = reached
@@ -352,7 +406,7 @@ def _check_pnwst(inst: PnwstInstance, sol: VertexRateSolution) -> Optional[str]:
             return f"unknown edge ({u},{v})"
         if u not in selected or v not in selected:
             return f"edge ({u},{v}) touches an unselected vertex"
-    reached = _tree_parents(inst.graph.n, inst.source, sol.edges)
+    reached = _tree_parents(inst.source, sol.edges)
     if reached is None:
         return "selected edges contain a cycle"
     parent, _ = reached
@@ -387,10 +441,10 @@ def forced_rates(inst: Instance, tree_edges: Iterable[tuple[int, int]]) -> Solut
     edges = [canonical_edge(*e) for e in tree_edges]
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edges in tree")
-    reached = _tree_parents(inst.graph.n, inst.source, edges)
+    reached = _tree_parents(inst.source, edges)
     if reached is None:
         raise ValueError("input edges contain a cycle")
-    parent, order = reached
+    parent, _ = reached
     touched = {u for e in edges for u in e} | {inst.source}
     if len(parent) != len(touched):
         raise ValueError("input edges are not connected to the source")
@@ -398,12 +452,8 @@ def forced_rates(inst: Instance, tree_edges: Iterable[tuple[int, int]]) -> Solut
     if missing:
         raise ValueError(f"terminal {missing[0]} not spanned by the tree")
 
-    # Bottom-up max of terminal priorities (children precede parents when
-    # the discovery order is reversed).
     high = {v: inst.terminals.get(v, 0) for v in parent}
-    for v in reversed(order):
-        if v != inst.source and high[v] > high[parent[v]]:
-            high[parent[v]] = high[v]
+    _raise_to_subtree_max(parent, high)
 
     if isinstance(inst, PstInstance):
         rates = {}

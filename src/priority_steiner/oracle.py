@@ -1,12 +1,18 @@
 """Exact optima by exhaustive tree enumeration, for desk-scale instances.
 
-Candidate trees are grown edge by edge from the source; every subtree of
-the graph containing the source is visited at most once via binary
-include/exclude branching with permanent exclusion.  A grown tree is scored
-by its minimal feasible rates, so junk branches cost nothing and the scan
-can stop as soon as all terminals are reached.  Level-1 weights of the
-chosen elements give a lower bound used to prune against the incumbent,
-which starts from a verified heuristic solution.
+Both oracles run one search, ``_exact_search``.  Candidate trees are grown
+edge by edge from the source; every subtree of the graph containing the
+source is visited at most once via binary include/exclude branching with
+permanent exclusion.  Growing vertex x over edge e charges e's level table
+plus x's level table: the edge-weighted oracle passes all-zero vertex
+tables, the node-weighted one all-zero edge tables.  A grown tree is scored
+by its minimal feasible rates (each grown vertex pays both tables at the
+highest terminal priority in its subtree, the source pays its own table at
+the top level), so junk branches cost nothing and the scan can stop as soon
+as all terminals are reached.  The lower bound adds both level-1 weights
+per grown vertex, the vertex's own only when it is neither a terminal nor
+the source; it prunes against the incumbent, which starts from a verified
+heuristic solution.
 
 These oracles refuse instances above the edge guard rather than
 approximate: exactness is the whole point.
@@ -16,15 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .instances import (
     EdgeRateSolution,
+    Instance,
     PnwstInstance,
     PriorityGraph,
     PstInstance,
     Solution,
     VertexRateSolution,
+    _raise_to_subtree_max,
     check_feasible,
     forced_rates,
     solution_weight,
@@ -52,66 +60,60 @@ def _guard(m: int, max_edges: int) -> None:
         )
 
 
-def _evaluate_pst(inst: PstInstance, parent_eid: dict[int, tuple[int, int]]) -> float:
-    """Forced-rate weight of a grown tree given v -> (parent, edge id)."""
-    high = {v: inst.terminals.get(v, 0) for v in parent_eid}
-    high[inst.source] = inst.terminals.get(inst.source, 0)
-    for v in reversed(list(parent_eid)):
-        p = parent_eid[v][0]
-        if high[v] > high.get(p, 0):
-            high[p] = high[v]
-    total = 0.0
-    for v, (_, eid) in parent_eid.items():
-        lvl = high[v]
-        if lvl > 0:
-            total += inst.edge_weights[eid][lvl - 1]
-    return total
-
-
-def exact_pst(
-    inst: PstInstance,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    warm_start: bool = True,
+def _exact_search(
+    inst: Instance,
+    edge_rows: Sequence[tuple[float, ...]],
+    vertex_rows: Sequence[tuple[float, ...]],
+    warm: Optional[Solution],
 ) -> OracleResult:
-    """Exact optimum of an edge-weighted instance.
+    """The include/exclude tree growth behind both oracles.
 
-    Enumerates trees containing the source; each is scored with its forced
-    rates, which are pointwise-minimal feasible, so no rate assignment can
-    beat the best tree.
+    ``edge_rows[eid]`` and ``vertex_rows[v]`` are the level tables charged
+    for a grown edge and for the vertex it adds; one of the two is all
+    zeros.  A warm solution, if feasible, is the starting incumbent.
     """
-    _guard(inst.graph.m, max_edges)
     g = inst.graph
+    source = inst.source
     terms = set(inst.terminals)
-    if not terms:
-        return OracleResult(0.0, EdgeRateSolution({}), 0)
-
     best = math.inf
-    best_tree: Optional[list[tuple[int, int]]] = None
-    witness: Optional[Solution] = None
-    if warm_start:
-        from .pst import best_of
+    witness = None
+    if warm is not None and check_feasible(inst, warm) is None:
+        best = solution_weight(inst, warm)
+        witness = warm
 
-        report = best_of(inst)
-        if check_feasible(inst, report.solution) is None:
-            best = solution_weight(inst, report.solution)
-            witness = report.solution
-
-    base = [row[0] for row in inst.edge_weights]
+    edge_lb = [row[0] for row in edge_rows]
+    vertex_lb = [
+        0.0 if v in terms or v == source else row[0]
+        for v, row in enumerate(vertex_rows)
+    ]
+    top = vertex_rows[source][g.k - 1]
     in_tree = [False] * (g.n + 1)
-    in_tree[inst.source] = True
+    in_tree[source] = True
     banned = [False] * g.m
-    parent_eid: dict[int, tuple[int, int]] = {}
-    state = {"count": 0, "best": best, "tree": best_tree, "missing": len(terms)}
+    parent_of = {source: 0}
+    edge_of: dict[int, int] = {}
+    count = 0
+    best_tree: Optional[list[tuple[int, int]]] = None
+    missing = len(terms)
 
     def evaluate() -> None:
-        state["count"] += 1
-        w = _evaluate_pst(inst, parent_eid)
-        if w < state["best"]:
-            state["best"] = w
-            state["tree"] = [g.edges[eid] for (_, eid) in parent_eid.values()]
+        nonlocal count, best, best_tree
+        count += 1
+        high = {v: inst.terminals.get(v, 0) for v in parent_of}
+        _raise_to_subtree_max(parent_of, high)
+        total = 0.0
+        for v, eid in edge_of.items():
+            lvl = high[v]
+            if lvl > 0:
+                total += edge_rows[eid][lvl - 1] + vertex_rows[v][lvl - 1]
+        total += top
+        if total < best:
+            best = total
+            best_tree = [g.edges[eid] for eid in edge_of.values()]
 
-    def rec(frontier: list[int], lb: float) -> None:
-        if state["missing"] == 0:
+    def grow(frontier: list[int], lb: float) -> None:
+        nonlocal missing
+        if missing == 0:
             evaluate()
             return
         pos = 0
@@ -129,53 +131,58 @@ def exact_pst(
         new = v if in_tree[u] else u
         old = u if in_tree[u] else v
 
-        nlb = lb + base[eid]
-        if nlb < state["best"]:
+        nlb = lb + edge_lb[eid] + vertex_lb[new]
+        if nlb < best:
             in_tree[new] = True
-            parent_eid[new] = (old, eid)
+            parent_of[new] = old
+            edge_of[new] = eid
             if new in terms:
-                state["missing"] -= 1
+                missing -= 1
             grown = rest + [
                 e for (_, e) in g.adjacency[new] if e != eid and not banned[e]
             ]
-            rec(grown, nlb)
+            grow(grown, nlb)
             if new in terms:
-                state["missing"] += 1
-            del parent_eid[new]
+                missing += 1
+            del parent_of[new]
+            del edge_of[new]
             in_tree[new] = False
 
         banned[eid] = True
-        rec(rest, lb)
+        grow(rest, lb)
         banned[eid] = False
 
-    start = [e for (_, e) in g.adjacency[inst.source]]
-    rec(start, 0.0)
+    grow([e for (_, e) in g.adjacency[source]], 0.0)
 
-    if state["tree"] is not None:
-        witness = forced_rates(inst, state["tree"])
+    if best_tree is not None:
+        witness = forced_rates(inst, best_tree)
     assert witness is not None, "connected instances always have a tree"
-    opt = state["best"]
-    assert abs(solution_weight(inst, witness) - opt) < 1e-9
-    return OracleResult(opt, witness, state["count"])
+    assert abs(solution_weight(inst, witness) - best) < 1e-9
+    return OracleResult(best, witness, count)
 
 
-def _evaluate_pnwst(
-    inst: PnwstInstance, parent_of: dict[int, int]
-) -> float:
-    high = {v: inst.terminals.get(v, 0) for v in parent_of}
-    high[inst.source] = 0
-    for v in reversed(list(parent_of)):
-        p = parent_of[v]
-        if high[v] > high.get(p, 0):
-            high[p] = high[v]
-    total = 0.0
-    for v in parent_of:
-        lvl = high[v]
-        if lvl > 0:
-            total += inst.weight(v, lvl)
-    # The source is charged at the top level, which is zero by assumption.
-    total += inst.weight(inst.source, inst.graph.k)
-    return total
+def exact_pst(
+    inst: PstInstance,
+    max_edges: int = DEFAULT_MAX_EDGES,
+    warm_start: bool = True,
+) -> OracleResult:
+    """Exact optimum of an edge-weighted instance.
+
+    Enumerates trees containing the source; each is scored with its forced
+    rates, which are pointwise-minimal feasible, so no rate assignment can
+    beat the best tree.
+    """
+    _guard(inst.graph.m, max_edges)
+    g = inst.graph
+    if not inst.terminals:
+        return OracleResult(0.0, EdgeRateSolution({}), 0)
+    warm = None
+    if warm_start:
+        from .pst import best_of
+
+        warm = best_of(inst).solution
+    zeros = (0.0,) * g.k
+    return _exact_search(inst, inst.edge_weights, [zeros] * (g.n + 1), warm)
 
 
 def exact_pnwst(
@@ -193,87 +200,16 @@ def exact_pnwst(
     if inst.graph.k == 1:
         return _exact_pnwst_single_level(inst)
     g = inst.graph
-    terms = set(inst.terminals)
-    if not terms:
+    if not inst.terminals:
         sol = VertexRateSolution({inst.source: g.k}, ())
         return OracleResult(0.0, sol, 0)
-
-    best = math.inf
-    witness: Optional[Solution] = None
+    warm = None
     if warm_start:
         from .pnwst import greedy_merge
 
-        report = greedy_merge(inst)
-        if check_feasible(inst, report.solution) is None:
-            best = solution_weight(inst, report.solution)
-            witness = report.solution
-
-    base = [0.0] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        if v not in terms and v != inst.source:
-            base[v] = inst.weight(v, 1)
-    in_tree = [False] * (g.n + 1)
-    in_tree[inst.source] = True
-    banned = [False] * g.m
-    parent_of: dict[int, int] = {}
-    parent_edge: dict[int, tuple[int, int]] = {}
-    state = {"count": 0, "best": best, "tree": None, "missing": len(terms)}
-
-    def evaluate() -> None:
-        state["count"] += 1
-        w = _evaluate_pnwst(inst, parent_of)
-        if w < state["best"]:
-            state["best"] = w
-            state["tree"] = list(parent_edge.values())
-
-    def rec(frontier: list[int], lb: float) -> None:
-        if state["missing"] == 0:
-            evaluate()
-            return
-        pos = 0
-        while pos < len(frontier):
-            eid = frontier[pos]
-            u, v = g.edges[eid]
-            if in_tree[u] and in_tree[v]:
-                pos += 1
-                continue
-            break
-        else:
-            return
-        rest = frontier[pos + 1 :]
-        u, v = g.edges[eid]
-        new = v if in_tree[u] else u
-        old = u if in_tree[u] else v
-
-        nlb = lb + base[new]
-        if nlb < state["best"]:
-            in_tree[new] = True
-            parent_of[new] = old
-            parent_edge[new] = g.edges[eid]
-            if new in terms:
-                state["missing"] -= 1
-            grown = rest + [
-                e for (_, e) in g.adjacency[new] if e != eid and not banned[e]
-            ]
-            rec(grown, nlb)
-            if new in terms:
-                state["missing"] += 1
-            del parent_of[new]
-            del parent_edge[new]
-            in_tree[new] = False
-
-        banned[eid] = True
-        rec(rest, lb)
-        banned[eid] = False
-
-    rec([e for (_, e) in g.adjacency[inst.source]], 0.0)
-
-    if state["tree"] is not None:
-        witness = forced_rates(inst, state["tree"])
-    assert witness is not None
-    opt = state["best"]
-    assert abs(solution_weight(inst, witness) - opt) < 1e-9
-    return OracleResult(opt, witness, state["count"])
+        warm = greedy_merge(inst).solution
+    zeros = (0.0,) * g.k
+    return _exact_search(inst, [zeros] * g.m, [zeros, *inst.vertex_weights], warm)
 
 
 def _exact_pnwst_single_level(inst: PnwstInstance) -> OracleResult:

@@ -6,6 +6,12 @@ fixed level: the returned distance to x is the cheapest sum of interior
 vertex weights over source-x paths, endpoints excluded, so adjacent vertices
 are at distance 0.
 
+Both are one search loop, ``_dijkstra``, in which stepping from u over
+edge e costs ``vertex_cost[u] + edge_cost[e]``.  The edge search passes
+zero vertex costs and the level's weight column (all zeros at level 0);
+the node search passes each vertex's price with the source's set to 0,
+which leaves the source and the endpoint x uncharged, and zero edge costs.
+
 A rate restriction never disconnects anything; it only changes prices.
 Unreachable therefore means unreachable in the graph itself and is reported
 as an infinite distance, never an error.  Heap ties break on the smaller
@@ -49,6 +55,46 @@ class PathResult:
         return out
 
 
+def _dijkstra(
+    adj: list[list[tuple[int, int]]],
+    sources: Iterable[int],
+    vertex_cost: list[float],
+    edge_cost: list[float],
+    stop: Optional[Callable[[int], bool]],
+) -> tuple[list[float], list[int], Optional[int]]:
+    """Multi-source Dijkstra returning (dist, parent, stopped_at).
+
+    Stepping from u over edge e costs ``vertex_cost[u] + edge_cost[e]``.
+    When ``stop`` is given the search halts right after settling the first
+    vertex satisfying it; remaining distances stay at their tentative values.
+    """
+    n = len(adj) - 1
+    dist = [math.inf] * (n + 1)
+    parent = [0] * (n + 1)
+    done = [False] * (n + 1)
+    heap: list[tuple[float, int]] = []
+    for s in sources:
+        dist[s] = 0.0
+        heappush(heap, (0.0, s))
+    while heap:
+        d, u = heappop(heap)
+        if done[u] or d > dist[u]:
+            continue
+        done[u] = True
+        if stop is not None and stop(u):
+            return dist, parent, u
+        du = d + vertex_cost[u]
+        for v, eid in adj[u]:
+            if done[v]:
+                continue
+            nd = du + edge_cost[eid]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heappush(heap, (nd, v))
+    return dist, parent, None
+
+
 def edge_rate_search(
     inst: PstInstance,
     sources: Iterable[int],
@@ -64,33 +110,13 @@ def edge_rate_search(
     srcs = tuple(sorted(set(sources)))
     if not srcs:
         raise ValueError("at least one source is required")
-    n = inst.graph.n
-    adj = inst.graph.adjacency
-    table = inst.edge_weights
-    dist = [math.inf] * (n + 1)
-    parent = [0] * (n + 1)
-    done = [False] * (n + 1)
-    heap: list[tuple[float, int]] = []
-    for s in srcs:
-        dist[s] = 0.0
-        heappush(heap, (0.0, s))
-    stopped = None
-    while heap:
-        d, u = heappop(heap)
-        if done[u] or d > dist[u]:
-            continue
-        done[u] = True
-        if stop is not None and stop(u):
-            stopped = u
-            break
-        for v, eid in adj[u]:
-            if done[v]:
-                continue
-            nd = d + (table[eid][rate - 1] if rate else 0.0)
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heappush(heap, (nd, v))
+    dist, parent, stopped = _dijkstra(
+        inst.graph.adjacency,
+        srcs,
+        [0.0] * (inst.graph.n + 1),
+        inst._level_column(rate),
+        stop,
+    )
     return PathResult(dist, parent, rate, srcs, stopped)
 
 
@@ -109,36 +135,14 @@ def node_rate_search(
     candidate costs only shrink under this mode.
     """
     n = inst.graph.n
-    adj = inst.graph.adjacency
     cost = [0.0] * (n + 1)
     for v in range(1, n + 1):
         w = inst.weight(v, rate)
         if current_rates is not None:
             w = max(0.0, w - inst.weight(v, current_rates.get(v, 0)))
         cost[v] = w
-    # dist[y] counts interior vertices of the source-y path only: stepping
-    # from x to y adds x's own price unless x is the source.
-    dist = [math.inf] * (n + 1)
-    parent = [0] * (n + 1)
-    done = [False] * (n + 1)
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    stopped = None
-    while heap:
-        d, u = heappop(heap)
-        if done[u] or d > dist[u]:
-            continue
-        done[u] = True
-        if stop is not None and stop(u):
-            stopped = u
-            break
-        step = 0.0 if u == source else cost[u]
-        for v, _eid in adj[u]:
-            if done[v]:
-                continue
-            nd = d + step
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heappush(heap, (nd, v))
+    cost[source] = 0.0
+    dist, parent, stopped = _dijkstra(
+        inst.graph.adjacency, (source,), cost, [0.0] * inst.graph.m, stop
+    )
     return PathResult(dist, parent, rate, (source,), stopped)

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from .instances import (
     PnwstInstance,
     VertexRateSolution,
+    _DisjointSets,
+    _tree_parents,
     canonical_edge,
     forced_rates,
 )
@@ -269,20 +271,8 @@ def apply_merge(
         for is_new, bucket in ((0, old_edges), (1, new_edges))
         for (u, w) in bucket
     )
-    parent = {u: u for u in vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    kept: set[tuple[int, int]] = set()
-    for _, _, (u, w) in ranked:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-            kept.add((u, w))
+    ds = _DisjointSets(inst.graph.n)
+    kept = {pair for _, _, pair in ranked if ds.union(*pair)}
 
     merged_terms = set()
     for piece in pieces:
@@ -303,18 +293,9 @@ def _assert_serves_terminals(
 ) -> None:
     # Every merged-in terminal must reach the root through vertices at or
     # above its own priority, at the current levels.
-    adj: dict[int, list[int]] = {v: [] for v in piece.vertices}
-    for (u, w) in piece.edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    parent = {piece.root: 0}
-    stack = [piece.root]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
+    reached = _tree_parents(piece.root, piece.edges)
+    assert reached is not None, "fused tree has a cycle"
+    parent = reached[0]
     assert len(parent) == len(piece.vertices), "fused tree is disconnected"
     for t in piece.merged_terminals:
         need = inst.terminals[t]

@@ -25,6 +25,7 @@ from .instances import (
     EdgeRateSolution,
     PriorityGraph,
     PstInstance,
+    _DisjointSets,
     canonical_edge,
     forced_rates,
     solution_weight,
@@ -47,25 +48,6 @@ class PstRunReport:
     connection_costs: dict[int, float] = field(default_factory=dict)
     order: tuple = ()
     solver_tag: str = ""
-
-
-class _DisjointSets:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n + 1))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 def remove_cycles(
@@ -221,8 +203,9 @@ def per_level_union(inst: PstInstance) -> PstRunReport:
         group = {t for t, l in inst.terminals.items() if l == lvl}
         if not group:
             continue
-        row = [inst.edge_weights[eid][lvl - 1] for eid in range(inst.graph.m)]
-        tree = steiner_mst_approx(inst.graph, group | {inst.source}, row)
+        tree = steiner_mst_approx(
+            inst.graph, group | {inst.source}, inst._level_column(lvl)
+        )
         for pair in tree:
             if rates.get(pair, 0) < lvl:
                 rates[pair] = lvl

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instances import canonical_edge
+from .instances import _raise_to_subtree_max, _tree_parents, canonical_edge
 
 
 @dataclass
@@ -40,32 +40,22 @@ class RateTree:
         return out
 
     def structure(self) -> tuple[dict[int, int], dict[int, list[int]], dict[int, int]]:
-        """(parent, children, depth); raises on cycles or disconnection."""
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj.values():
-            lst.sort()
-        parent = {self.root: 0}
-        depth = {self.root: 0}
-        children: dict[int, list[int]] = {v: [] for v in self.vertices}
-        queue = [self.root]
-        i = 0
-        while i < len(queue):
-            u = queue[i]
-            i += 1
-            for v in adj[u]:
-                if v == parent[u]:
-                    continue
-                if v in parent:
-                    raise ValueError("edges contain a cycle")
-                parent[v] = u
-                depth[v] = depth[u] + 1
-                children[u].append(v)
-                queue.append(v)
+        """(parent, children, depth); raises on cycles or disconnection.
+
+        ``parent`` lists vertices parents first and children lists are in
+        ascending id order.
+        """
+        reached = _tree_parents(self.root, self.edges)
+        if reached is None:
+            raise ValueError("edges contain a cycle")
+        parent, order = reached
         if len(parent) != len(self.vertices):
             raise ValueError("tree is disconnected")
+        children: dict[int, list[int]] = {v: [] for v in order}
+        depth = {self.root: 0}
+        for v in order[1:]:
+            children[parent[v]].append(v)
+            depth[v] = depth[parent[v]] + 1
         return parent, children, depth
 
     def is_rate_tree(self) -> bool:
@@ -119,37 +109,16 @@ def marked_optimize(tree: RateTree, marked: set[int]) -> RateTree:
         raise ValueError("root must be marked")
     if not set(marked) <= verts:
         raise ValueError("marked vertices must belong to the tree")
-    parent, children, _ = tree.structure()
-
-    keep = dict(children)
-    alive = set(verts)
-    dead = [v for v in sorted(alive) if not keep[v] and v not in marked]
-    while dead:
-        v = dead.pop()
-        if v == tree.root:
-            continue
-        alive.discard(v)
-        p = parent[v]
-        keep[p] = [c for c in keep[p] if c != v]
-        if not keep[p] and p not in marked:
-            dead.append(p)
-
-    rates: dict[int, int] = {}
-    # Bottom-up marked maxima over the surviving vertices.
-    order = [tree.root]
-    i = 0
-    while i < len(order):
-        order.extend(c for c in keep[order[i]] if c in alive)
-        i += 1
-    high = {v: (tree.rates[v] if v in marked else 0) for v in order}
-    for v in reversed(order):
-        if v != tree.root and high[v] > high[parent[v]]:
-            high[parent[v]] = high[v]
-    for v in order:
-        rates[v] = tree.rates[v] if v in marked else high[v]
-    edges = tuple(
-        canonical_edge(parent[v], v) for v in order if v != tree.root
-    )
+    parent, _, _ = tree.structure()
+    # A vertex survives when its subtree holds a marked vertex.
+    alive = {v: v in marked for v in parent}
+    _raise_to_subtree_max(parent, alive)
+    high = {v: (tree.rates[v] if v in marked else 0) for v in parent}
+    _raise_to_subtree_max(parent, high)
+    rates = {
+        v: (tree.rates[v] if v in marked else high[v]) for v in parent if alive[v]
+    }
+    edges = tuple(canonical_edge(parent[v], v) for v in rates if v != tree.root)
     return RateTree(tree.root, rates, edges)
 
 
@@ -157,21 +126,11 @@ def is_marked_optimized(tree: RateTree, marked: set[int]) -> bool:
     if tree.root not in marked or not set(marked) <= tree.vertices:
         return False
     parent, children, _ = tree.structure()
-    for v in tree.vertices:
-        if not children[v] and v not in marked:
-            return False
-    high = {v: (tree.rates[v] if v in marked else 0) for v in tree.vertices}
-    order = [tree.root]
-    i = 0
-    while i < len(order):
-        order.extend(children[order[i]])
-        i += 1
-    for v in reversed(order):
-        if v != tree.root and high[v] > high[parent[v]]:
-            high[parent[v]] = high[v]
-    return all(
-        v in marked or tree.rates[v] == high[v] for v in tree.vertices
-    )
+    if any(not children[v] and v not in marked for v in parent):
+        return False
+    high = {v: (tree.rates[v] if v in marked else 0) for v in parent}
+    _raise_to_subtree_max(parent, high)
+    return all(v in marked or tree.rates[v] == high[v] for v in parent)
 
 
 def _subtree(children: dict[int, list[int]], u: int) -> list[int]:
@@ -277,26 +236,20 @@ def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:
     """All rate-spider conditions; empty list when satisfied."""
     out: list[str] = []
     verts = spider.vertices
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for (u, v) in spider.edges:
-        adj[u].append(v)
-        adj[v].append(u)
     if len(spider.edges) != len(verts) - 1:
         out.append("not a tree (edge count)")
         return out
-    seen = {spider.root}
-    stack = [spider.root]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if seen != verts:
+    reached = _tree_parents(spider.root, spider.edges)
+    if reached is None or len(reached[0]) != len(verts):
         out.append("not connected")
         return out
+    parent, order = reached
+    degree = {v: 0 for v in verts}
+    for (u, v) in spider.edges:
+        degree[u] += 1
+        degree[v] += 1
 
-    big = [v for v in verts if len(adj[v]) > 2]
+    big = [v for v in verts if degree[v] > 2]
     if len(big) > 1:
         out.append(f"two vertices of degree > 2: {sorted(big)}")
     if big and big[0] != spider.center:
@@ -312,26 +265,12 @@ def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:
         out.append("unmarked leaf")
 
     # Non-increasing levels away from the root.
-    order = {spider.root: 0}
-    stack = [spider.root]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in order:
-                if spider.rates[y] > spider.rates[x]:
-                    out.append(f"level increases from {x} to {y}")
-                order[y] = order[x] + 1
-                stack.append(y)
+    for v in order[1:]:
+        if spider.rates[v] > spider.rates[parent[v]]:
+            out.append(f"level increases from {parent[v]} to {v}")
 
     # Center legs: vertex-disjoint, non-increasing toward non-root leaves.
-    parent = {spider.center: 0}
-    stack = [spider.center]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
+    parent, _ = _tree_parents(spider.center, spider.edges)
     used: set[int] = set()
     for leaf in sorted(leaves - {spider.root}):
         path = [leaf]

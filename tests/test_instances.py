@@ -35,6 +35,10 @@ class TestValidate:
         msgs = validate_instance(bad)
         assert any("monotonicity at edge (1,2)" in m for m in msgs)
 
+    def test_negative_first_weight_is_not_a_monotonicity_breach(self):
+        msgs = validate_instance(single_edge_pst(w1=-1.0, w2=2.0))
+        assert msgs == ["negative or non-finite weight at edge (1,2)"]
+
     def test_terminal_nonzero_weight_reported(self):
         g = PriorityGraph(2, [(1, 2)], 2)
         inst = PnwstInstance(g, 1, {2: 2}, [(0.0, 0.0), (0.0, 4.0)])

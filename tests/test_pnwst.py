@@ -163,9 +163,7 @@ class TestGreedyMerge:
     def test_canonical_output_has_non_increasing_levels(self, seed):
         inst = gen_random_pnwst(9, 0.4, 3, 0.5, seed)
         rep = greedy_merge(inst)
-        parent, order = _tree_parents(
-            inst.graph.n, inst.source, rep.solution.edges
-        )
+        parent, order = _tree_parents(inst.source, rep.solution.edges)
         for v in order:
             if v != inst.source:
                 assert rep.solution.rates[parent[v]] >= rep.solution.rates[v]
