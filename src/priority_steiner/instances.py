@@ -171,11 +171,23 @@ class PnwstInstance:
         for row in self.vertex_weights:
             if len(row) != self.graph.k:
                 raise ValueError("weight rows must have one entry per level")
+        self._columns: dict[int, list[float]] = {}
 
     def weight(self, v: int, level: int) -> float:
         if level == 0:
             return 0.0
         return self.vertex_weights[v - 1][level - 1]
+
+    def _level_column(self, level: int) -> list[float]:
+        """Every vertex's weight at one level by vertex id, built once per
+        level; entry 0 is unused and 0.0."""
+        col = self._columns.get(level)
+        if col is None:
+            col = [0.0] + [
+                row[level - 1] if level else 0.0 for row in self.vertex_weights
+            ]
+            self._columns[level] = col
+        return col
 
 
 Instance = Union[PstInstance, PnwstInstance]

@@ -134,13 +134,15 @@ def node_rate_search(
     max(0, w(y, level) - w(y, current)) so already-paid upgrades are free;
     candidate costs only shrink under this mode.
     """
-    n = inst.graph.n
-    cost = [0.0] * (n + 1)
-    for v in range(1, n + 1):
-        w = inst.weight(v, rate)
-        if current_rates is not None:
-            w = max(0.0, w - inst.weight(v, current_rates.get(v, 0)))
-        cost[v] = w
+    col = inst._level_column(rate)
+    if current_rates is None:
+        cost = list(col)
+    else:
+        paid = [inst._level_column(lvl) for lvl in range(inst.graph.k + 1)]
+        cost = [
+            max(0.0, w - paid[current_rates.get(v, 0)][v])
+            for v, w in enumerate(col)
+        ]
     cost[source] = 0.0
     dist, parent, stopped = _dijkstra(
         inst.graph.adjacency, (source,), cost, [0.0] * inst.graph.m, stop

@@ -16,13 +16,18 @@ entry.  Residual candidate costs are never larger, so every per-iteration
 weight bound that holds for full charging holds here too.
 
 Path searches inside one iteration all use the rates from the start of the
-iteration, so candidate scores do not depend on evaluation order.
+iteration, so candidate scores do not depend on evaluation order.  Under
+full charging a search depends only on its (root, level) pair, so
+``greedy_merge`` runs each one once per run and reuses it in every later
+iteration; residual searches are rerun every iteration, since their prices
+change with the rates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .instances import (
     PnwstInstance,
@@ -108,13 +113,68 @@ def init_rate_forest(inst: PnwstInstance) -> RateForest:
     return RateForest(trees, rates)
 
 
-def _center_charge(
-    inst: PnwstInstance, v: int, level: int, rates: dict[int, int], residual: bool
-) -> float:
-    w = inst.weight(v, level)
-    if residual:
-        w = max(0.0, w - inst.weight(v, rates.get(v, 0)))
-    return w
+def _head_limit(legs: list[float], bound: float) -> float:
+    # The largest head cost at which some prefix of the ascending legs can
+    # still score at most ``bound``.  head + S_q <= bound * (q + 1) for some
+    # q >= 1 exactly when head <= bound + sum(bound - leg) over the first
+    # leg and the later legs below bound.  Dropping a leg (a root skipping
+    # itself) never raises this limit.  The relative margin absorbs float
+    # rounding, so a head above the limit scores strictly above bound
+    # however it is summed.
+    if math.isinf(bound):
+        return math.inf
+    if not legs or math.isinf(legs[0]):
+        return -math.inf
+    limit = bound
+    scale = abs(bound) * (len(legs) + 1)
+    for i, leg in enumerate(legs):
+        if i and leg >= bound:
+            break
+        limit += bound - leg
+        scale += abs(leg)
+    return limit + 1e-9 * (abs(limit) + scale)
+
+
+def _by_center(dists: list[list[float]], n: int) -> list[list[float]]:
+    # Transpose per-root distance lists into per-vertex lists.  Lists, not
+    # the tuples zip yields: freed small tuples stay cached by the
+    # interpreter, which would hold on to memory after the run.
+    return list(map(list, zip(*dists))) or [[] for _ in range(n + 1)]
+
+
+def _best_prefix(
+    head: float, row: list[tuple[float, int]], root: int, prefer_larger: bool
+) -> Optional[tuple[float, int, float, tuple[int, ...]]]:
+    # Best (score, group size, cost, selection) over prefixes of the row
+    # without ``root``, or None when no finite score exists.
+    total = head
+    q = 0
+    chosen: list[int] = []
+    best_here = None
+    for cost_leg, r2 in row:
+        if r2 == root:
+            continue
+        if best_here is not None:
+            # Sorted legs: once a leg cannot lower the score, no later leg
+            # can either.
+            if prefer_larger:
+                if cost_leg > best_here[0]:
+                    break
+            elif cost_leg >= best_here[0]:
+                break
+        total += cost_leg
+        q += 1
+        chosen.append(r2)
+        score = total / (q + 1)
+        if (
+            best_here is None
+            or score < best_here[0]
+            or (prefer_larger and score == best_here[0])
+        ):
+            best_here = (score, q + 1, total, tuple(chosen))
+    if best_here is None or math.isinf(best_here[0]):
+        return None
+    return best_here
 
 
 def minimize_merge_ratio(
@@ -122,6 +182,8 @@ def minimize_merge_ratio(
     forest: RateForest,
     charging: str = "residual",
     prefer_larger_groups: bool = False,
+    *,
+    _searches: Optional[dict[tuple[int, int], PathResult]] = None,
 ) -> MergeCandidate:
     """Scan all (root tree, center, level) triples for the best merge.
 
@@ -131,6 +193,24 @@ def minimize_merge_ratio(
     the score.  Ties resolve toward fewer trees joined (flipped by
     ``prefer_larger_groups``), then the smaller center id, then the smaller
     root id, then the smaller level.
+
+    A triple is skipped only when it provably scores above the best score B
+    found so far.  Some prefix scores at most B exactly when the head cost
+    (root-to-center path plus center charge) is at most T, which is B plus
+    B - leg summed over the center's cheapest leg and every further leg
+    below B; T is taken over the full row, so a root skipping itself only
+    loosens it.  A head above T plus a relative float margin is skipped, an
+    equal score never is, and so the choice and its tie-break order are
+    those of the full scan.  Roots above level b are not in the leg row at
+    level b, so at each center they share one row: they are visited by
+    ascending (head, root), and of equal heads only the first is scored.
+
+    ``_searches`` caches full-charging searches by (root, level) across the
+    calls of one run; residual prices change every iteration, so residual
+    calls always search afresh.
+
+    Raises ValueError when no merge has a finite cost, which happens when
+    the terminals and the source are not all in one component.
     """
     if len(forest.trees) < 2:
         raise ValueError("merging needs at least two trees")
@@ -138,6 +218,7 @@ def minimize_merge_ratio(
         raise ValueError(f"unknown charging mode {charging!r}")
     residual = charging == "residual"
     cur = forest.rates if residual else None
+    searches = {} if residual or _searches is None else _searches
     n = inst.graph.n
     k = inst.graph.k
     roots = sorted(forest.trees)
@@ -146,69 +227,62 @@ def minimize_merge_ratio(
     # One search per (root, level up to the root's priority); the search at
     # the root's own priority also provides the center-to-root leg costs,
     # since interior-priced path costs are symmetric.
-    searches: dict[tuple[int, int], PathResult] = {}
     for r in roots:
         for b in range(1, level_of[r] + 1):
-            searches[(r, b)] = node_rate_search(inst, r, b, cur)
+            if (r, b) not in searches:
+                searches[(r, b)] = node_rate_search(inst, r, b, cur)
 
-    # Eligible trees per level, and per (center, level) the ascending list
-    # of (leg cost, root).
-    elig = {b: [r for r in roots if level_of[r] <= b] for b in range(1, k + 1)}
-    legs: dict[int, list[list[tuple[float, int]]]] = {}
-    for b in range(1, k + 1):
-        rows: list[list[tuple[float, int]]] = [[]]
-        lists = [(searches[(r, level_of[r])].dist, r) for r in elig[b]]
-        for v in range(1, n + 1):
-            row = sorted((dist[v], r) for dist, r in lists)
-            rows.append(row)
-        legs[b] = rows
+    # The center's own charge per level: its weight there, less the weight
+    # at its paid level when charging residually.
+    charges = [inst._level_column(b) for b in range(k + 1)]
+    if residual:
+        paid = [charges[forest.rates.get(v, 0)][v] for v in range(n + 1)]
+        charges = [[max(0.0, w - p) for w, p in zip(col, paid)] for col in charges]
 
     best_key = None
     best = None
-    for r in roots:
-        for b in range(1, level_of[r] + 1):
-            base = searches[(r, b)].dist
-            rows = legs[b]
-            for v in range(1, n + 1):
-                head = base[v] + _center_charge(inst, v, b, forest.rates, residual)
-                if math.isinf(head):
+    for b in range(1, k + 1):
+        charge = charges[b]
+        elig = [r for r in roots if level_of[r] <= b]
+        upper = [r for r in roots if level_of[r] > b]
+        same = [r for r in elig if level_of[r] == b]
+        # Per center v: the leg costs of the eligible trees, and the
+        # root-to-center costs of the roots above b and at b.
+        legs_at = _by_center([searches[(r, level_of[r])].dist for r in elig], n)
+        upper_at = _by_center([searches[(r, b)].dist for r in upper], n)
+        same_at = _by_center([searches[(r, b)].dist for r in same], n)
+        for v in range(1, n + 1):
+            legs, ups, sames, c = legs_at[v], upper_at[v], same_at[v], charge[v]
+            sorted_legs = sorted(legs)
+            limit = _head_limit(sorted_legs, best_key[0] if best_key else math.inf)
+            if min(ups + sames, default=math.inf) + c > limit:
+                continue  # not even the cheapest head reaches the best score
+            row = sorted(zip(legs, elig))
+            heads = sorted(
+                h for h in zip([d + c for d in ups], upper) if h[0] <= limit
+            )
+            # Roots above b share the row, so equal heads score the same
+            # and only the first of them (the smallest id) can win.
+            todo = [
+                h for i, h in enumerate(heads) if not i or h[0] != heads[i - 1][0]
+            ]
+            todo += [(d + c, r) for d, r in zip(sames, same)]
+            for head, r in todo:
+                if head > limit or math.isinf(head):
                     continue
-                row = rows[v]
-                total = head
-                q = 0
-                chosen: list[int] = []
-                best_here = None
-                for cost_leg, r2 in row:
-                    if r2 == r:
-                        continue
-                    if best_here is not None:
-                        # Sorted legs: once a leg cannot lower the score,
-                        # no later leg can either.
-                        if prefer_larger_groups:
-                            if cost_leg > best_here[0]:
-                                break
-                        elif cost_leg >= best_here[0]:
-                            break
-                    total += cost_leg
-                    q += 1
-                    chosen.append(r2)
-                    score = total / (q + 1)
-                    if (
-                        best_here is None
-                        or score < best_here[0]
-                        or (prefer_larger_groups and score == best_here[0])
-                    ):
-                        best_here = (score, q + 1, total, tuple(chosen))
-                if best_here is None or math.isinf(best_here[0]):
+                found = _best_prefix(head, row, r, prefer_larger_groups)
+                if found is None:
                     continue
-                score, h, total, sel = best_here
+                score, h, total, sel = found
                 hkey = -h if prefer_larger_groups else h
                 key = (score, hkey, v, r, b)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (score, total, h, r, v, b, sel)
+                    limit = _head_limit(sorted_legs, score)
 
-    assert best is not None, "connected graphs always admit a merge"
+    if best is None:
+        raise ValueError("no finite merge: terminal set is disconnected")
     score, total, h, r, v, b, sel = best
     path_rv = tuple(searches[(r, b)].path_to(v))
     paths = tuple(
@@ -321,15 +395,25 @@ def greedy_merge(
     """
     forest = init_rate_forest(inst)
     records: list[IterationRecord] = []
+    searches: dict[tuple[int, int], PathResult] = {}
     while len(forest.trees) > 1:
-        cand = minimize_merge_ratio(inst, forest, charging, prefer_larger_groups)
+        cand = minimize_merge_ratio(
+            inst, forest, charging, prefer_larger_groups, _searches=searches
+        )
         size_before = len(forest.trees)
         added = apply_merge(inst, forest, cand)
         records.append(
             IterationRecord(cand.ratio, cand.group_size, size_before, added)
         )
-        assert len(forest.trees) == size_before - cand.group_size + 1
-    assert len(records) <= max(1, len(inst.terminals))
+        if len(forest.trees) != size_before - cand.group_size + 1:
+            raise RuntimeError(
+                f"merge of {cand.group_size} trees left {len(forest.trees)}"
+                f" of {size_before}"
+            )
+    if len(records) > max(1, len(inst.terminals)):
+        raise RuntimeError(
+            f"{len(records)} merges for {len(inst.terminals)} terminals"
+        )
 
     (piece,) = forest.trees.values()
     solution = forced_rates(inst, piece.edges)

@@ -3,7 +3,9 @@
 Nothing here shares code paths with the library's search routines: path
 costs come from exhaustive simple-path enumeration, rate assignments from
 exhaustive level enumeration, and merge scores from exhaustive subset
-enumeration.
+enumeration.  ``reference_merge_scan`` is the library's earlier unpruned
+merge scan, kept verbatim so that the pruned scan can be held to exactly
+the same choices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from priority_steiner import (
     solution_weight,
 )
 from priority_steiner.generators import StableRng
-from priority_steiner.pnwst import RateForest, root_priority
+from priority_steiner.paths import PathResult, node_rate_search
+from priority_steiner.pnwst import MergeCandidate, RateForest, root_priority
 from priority_steiner.spiders import RateTree, marked_optimize
 
 
@@ -95,8 +98,6 @@ def enum_min_merge_ratio(
     inst: PnwstInstance, forest: RateForest, charging: str = "residual"
 ) -> float:
     """Best merge score over every root tree, center, level, and subset."""
-    from priority_steiner.paths import node_rate_search
-
     cur = forest.rates if charging == "residual" else None
     roots = sorted(forest.trees)
     lvl = {r: root_priority(inst, r) for r in roots}
@@ -116,6 +117,96 @@ def enum_min_merge_ratio(
                         cost = head + sum(legs[r2][v] for r2 in subset)
                         best = min(best, cost / (size + 1))
     return best
+
+
+def _center_charge(
+    inst: PnwstInstance, v: int, level: int, rates: dict[int, int], residual: bool
+) -> float:
+    w = inst.weight(v, level)
+    if residual:
+        w = max(0.0, w - inst.weight(v, rates.get(v, 0)))
+    return w
+
+
+def reference_merge_scan(
+    inst: PnwstInstance,
+    forest: RateForest,
+    charging: str = "residual",
+    prefer_larger_groups: bool = False,
+) -> MergeCandidate:
+    """The unpruned O(|T|^2)-per-(center, level) scan, with every search rerun."""
+    residual = charging == "residual"
+    cur = forest.rates if residual else None
+    n = inst.graph.n
+    k = inst.graph.k
+    roots = sorted(forest.trees)
+    level_of = {r: root_priority(inst, r) for r in roots}
+
+    searches: dict[tuple[int, int], PathResult] = {}
+    for r in roots:
+        for b in range(1, level_of[r] + 1):
+            searches[(r, b)] = node_rate_search(inst, r, b, cur)
+
+    elig = {b: [r for r in roots if level_of[r] <= b] for b in range(1, k + 1)}
+    legs: dict[int, list[list[tuple[float, int]]]] = {}
+    for b in range(1, k + 1):
+        rows: list[list[tuple[float, int]]] = [[]]
+        lists = [(searches[(r, level_of[r])].dist, r) for r in elig[b]]
+        for v in range(1, n + 1):
+            row = sorted((dist[v], r) for dist, r in lists)
+            rows.append(row)
+        legs[b] = rows
+
+    best_key = None
+    best = None
+    for r in roots:
+        for b in range(1, level_of[r] + 1):
+            base = searches[(r, b)].dist
+            rows = legs[b]
+            for v in range(1, n + 1):
+                head = base[v] + _center_charge(inst, v, b, forest.rates, residual)
+                if math.isinf(head):
+                    continue
+                row = rows[v]
+                total = head
+                q = 0
+                chosen: list[int] = []
+                best_here = None
+                for cost_leg, r2 in row:
+                    if r2 == r:
+                        continue
+                    if best_here is not None:
+                        if prefer_larger_groups:
+                            if cost_leg > best_here[0]:
+                                break
+                        elif cost_leg >= best_here[0]:
+                            break
+                    total += cost_leg
+                    q += 1
+                    chosen.append(r2)
+                    score = total / (q + 1)
+                    if (
+                        best_here is None
+                        or score < best_here[0]
+                        or (prefer_larger_groups and score == best_here[0])
+                    ):
+                        best_here = (score, q + 1, total, tuple(chosen))
+                if best_here is None or math.isinf(best_here[0]):
+                    continue
+                score, h, total, sel = best_here
+                hkey = -h if prefer_larger_groups else h
+                key = (score, hkey, v, r, b)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (score, total, h, r, v, b, sel)
+
+    assert best is not None, "connected graphs always admit a merge"
+    score, total, h, r, v, b, sel = best
+    path_rv = tuple(searches[(r, b)].path_to(v))
+    paths = tuple(
+        tuple(searches[(r2, level_of[r2])].path_to(v)) for r2 in sel
+    )
+    return MergeCandidate(score, total, h, r, v, b, sel, path_rv, paths)
 
 
 def random_rate_tree(n: int, k: int, seed: int) -> tuple[RateTree, set[int]]:

@@ -1,10 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import priority_steiner
 from priority_steiner import gen_random_pst, gen_tightness_pnwst
 from priority_steiner.cli import main
 from priority_steiner.fileio import write_instance
+
+
+# Terminal 4 sits in a component without the source.
+DISCONNECTED_PNWST = (
+    "PNWST 1\nk 1\nnodes 4\nsource 1\n"
+    "terminal 2 1\nterminal 4 1\nedge 1 2\nedge 3 4\n"
+)
 
 
 @pytest.fixture
@@ -79,6 +91,36 @@ class TestSolve:
         bad.write_text("PST 1\nk 1\nnodes 2\nsource 1\nedge 1 2\n")
         code, _ = run(capsys, ["solve", str(bad), "--solver", "alg1"])
         assert code == 2
+
+    def test_disconnected_pnwst_is_an_error_line(self, capsys, tmp_path):
+        path = tmp_path / "split.pnwst"
+        path.write_text(DISCONNECTED_PNWST)
+        code = main(["solve", str(path), "--solver", "pnwst"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no finite merge: terminal set is disconnected\n"
+        )
+
+    def test_disconnected_pnwst_without_asserts(self, tmp_path):
+        # python -O strips assert statements; the error must not rely on one.
+        path = tmp_path / "split.pnwst"
+        path.write_text(DISCONNECTED_PNWST)
+        src = str(Path(priority_steiner.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "priority_steiner.cli", "solve",
+             str(path), "--solver", "pnwst"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: no finite merge: terminal set is disconnected"
+        ]
 
 
 class TestExact:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,12 @@ from priority_steiner import (
     minimize_merge_ratio,
     solution_weight,
 )
+from priority_steiner import pnwst
 from priority_steiner.instances import _tree_parents
 from priority_steiner.oracle import exact_pnwst
+from priority_steiner.pnwst import root_priority
 
-from helpers import enum_min_merge_ratio
+from helpers import enum_min_merge_ratio, reference_merge_scan
 
 
 def harmonic(n: int) -> float:
@@ -189,3 +192,89 @@ class TestTightnessFamilyAllSizes:
         rep = greedy_merge(inst)
         expect = 2 * (harmonic(t + 1) - 1)
         assert abs(solution_weight(inst, rep.solution) - expect) < 1e-9
+
+
+def _scan_cases():
+    for k in range(1, 5):
+        for seed in range(6):
+            density = (0.25, 0.4, 0.6)[seed % 3]
+            yield gen_random_pnwst(10 + 3 * seed, density, k, 0.5, 31 * k + seed)
+    for t in range(2, 9):
+        yield gen_tightness_pnwst(t)
+
+
+class TestPrunedScan:
+    @pytest.mark.parametrize("prefer", [False, True])
+    @pytest.mark.parametrize("charging", ["residual", "full"])
+    def test_every_choice_matches_the_reference_scan(
+        self, monkeypatch, charging, prefer
+    ):
+        # Checked inside greedy_merge, so full charging runs on the searches
+        # that the run caches across iterations.
+        scan = pnwst.minimize_merge_ratio
+        checked = []
+
+        def pinned(inst, forest, *args, **kwargs):
+            expect = reference_merge_scan(inst, forest, charging, prefer)
+            cand = scan(inst, forest, *args, **kwargs)
+            assert cand == expect
+            checked.append(cand)
+            return cand
+
+        monkeypatch.setattr(pnwst, "minimize_merge_ratio", pinned)
+        for inst in _scan_cases():
+            before = len(checked)
+            rep = greedy_merge(inst, charging, prefer)
+            assert len(checked) - before == len(rep.per_iteration) > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_charging_searches_each_pair_once(self, monkeypatch, seed):
+        inst = gen_random_pnwst(14, 0.3, 3, 0.5, seed)
+        search = pnwst.node_rate_search
+        seen = Counter()
+
+        def counted(inst, source, rate, *args, **kwargs):
+            seen[(source, rate)] += 1
+            return search(inst, source, rate, *args, **kwargs)
+
+        monkeypatch.setattr(pnwst, "node_rate_search", counted)
+        rep = greedy_merge(inst, charging="full")
+        assert len(rep.per_iteration) > 1
+        pairs = {
+            (r, b)
+            for r in init_rate_forest(inst).trees
+            for b in range(1, root_priority(inst, r) + 1)
+        }
+        assert seen == Counter(pairs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residual_charging_searches_every_iteration(self, monkeypatch, seed):
+        inst = gen_random_pnwst(14, 0.3, 3, 0.5, seed)
+        search = pnwst.node_rate_search
+        scan = pnwst.minimize_merge_ratio
+        calls = [0]
+        expect = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return search(*args, **kwargs)
+
+        def scan_counted(inst, forest, *args, **kwargs):
+            expect[0] += sum(root_priority(inst, r) for r in forest.trees)
+            return scan(inst, forest, *args, **kwargs)
+
+        monkeypatch.setattr(pnwst, "node_rate_search", counted)
+        monkeypatch.setattr(pnwst, "minimize_merge_ratio", scan_counted)
+        rep = greedy_merge(inst)
+        assert len(rep.per_iteration) > 1
+        assert calls[0] == expect[0]
+
+    def test_disconnected_terminals_raise_value_error(self):
+        g = PriorityGraph(4, [(1, 2), (3, 4)], 1)
+        inst = PnwstInstance(g, 1, {2: 1, 4: 1}, [(0.0,)] * 4)
+        forest = init_rate_forest(inst)
+        apply_merge(inst, forest, minimize_merge_ratio(inst, forest))
+        with pytest.raises(ValueError, match="disconnected"):
+            minimize_merge_ratio(inst, forest)
+        with pytest.raises(ValueError, match="disconnected"):
+            greedy_merge(inst, charging="full")
