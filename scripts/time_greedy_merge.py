@@ -1,12 +1,12 @@
 """Time ``greedy_merge`` on the node-weighted size ladder of the roadmap.
 
-    PYTHONPATH=src python3 scripts/time_greedy_merge.py [--sizes 40,80] [--seed 7]
+    PYTHONPATH=src python3 scripts/time_greedy_merge.py [--sizes 40,80]
 
-Each terminal count |T| in ``--sizes`` gets one seeded ``gen_random_pnwst``
-graph with k=3 (|T|=40: n=150, m=600; |T|=80: n=300, m=1200; |T|=120:
-n=400, m=1600).  ``greedy_merge`` runs once per charging mode, and each run
-prints one JSON line: wall seconds, node searches run, merges and solution
-weight.  Searches are counted by wrapping ``pnwst.node_rate_search``, the
+Each terminal count |T| in ``--sizes`` gets one ``gen_random_pnwst`` graph
+with seed ``SEED`` and k=3 (|T|=40: n=150, m=600; |T|=80: n=300, m=1200;
+|T|=120: n=400, m=1600).  ``greedy_merge`` runs once per charging mode, and
+each run prints one JSON line: wall seconds, node searches run, merges and
+solution weight.  Searches are counted by wrapping ``pnwst.node_rate_search``, the
 name the solver calls.
 """
 
@@ -19,6 +19,7 @@ import time
 from priority_steiner import gen_random_pnwst, greedy_merge, pnwst, solution_weight
 
 LADDER = {40: (150, 600), 80: (300, 1200), 120: (400, 1600)}
+SEED = 7
 
 
 def time_run(inst, charging: str) -> dict:
@@ -48,14 +49,13 @@ def time_run(inst, charging: str) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="40,80", help="comma-separated |T| values")
-    ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
     sizes = [int(x) for x in args.sizes.split(",")]
     if any(t not in LADDER for t in sizes):
         ap.error(f"--sizes must be drawn from {sorted(LADDER)}")
     for t in sizes:
         n, m = LADDER[t]
-        inst = gen_random_pnwst(n, m / (n * (n - 1) / 2), 3, t / (n - 1), args.seed)
+        inst = gen_random_pnwst(n, m / (n * (n - 1) / 2), 3, t / (n - 1), SEED)
         for charging in ("residual", "full"):
             row = {"terminals": t, "n": n, "m": m, "charging": charging}
             row.update(time_run(inst, charging))

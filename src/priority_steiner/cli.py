@@ -17,6 +17,7 @@ error, 3 oracle size guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -367,8 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: a parser is a web of reference cycles, so one
+    # per call leaves garbage that waits for the cyclic collector, and a
+    # caller making few other allocations holds many of them at once.
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -144,37 +144,38 @@ def _by_center(dists: list[list[float]], n: int) -> list[list[float]]:
 
 def _best_prefix(
     head: float, row: list[tuple[float, int]], root: int, prefer_larger: bool
-) -> Optional[tuple[float, int, float, tuple[int, ...]]]:
+) -> Optional[tuple[float, int, float, list[int]]]:
     # Best (score, group size, cost, selection) over prefixes of the row
-    # without ``root``, or None when no finite score exists.
+    # without ``root``, or None when no finite score exists.  The best
+    # prefix is kept as its length, not copied at every improvement: freed
+    # small tuples stay cached by the interpreter, one cache per length.
     total = head
     q = 0
     chosen: list[int] = []
-    best_here = None
+    best_score = math.inf
+    best_q = 0
+    best_total = 0.0
     for cost_leg, r2 in row:
         if r2 == root:
             continue
-        if best_here is not None:
+        if best_q:
             # Sorted legs: once a leg cannot lower the score, no later leg
             # can either.
             if prefer_larger:
-                if cost_leg > best_here[0]:
+                if cost_leg > best_score:
                     break
-            elif cost_leg >= best_here[0]:
+            elif cost_leg >= best_score:
                 break
         total += cost_leg
         q += 1
         chosen.append(r2)
         score = total / (q + 1)
-        if (
-            best_here is None
-            or score < best_here[0]
-            or (prefer_larger and score == best_here[0])
-        ):
-            best_here = (score, q + 1, total, tuple(chosen))
-    if best_here is None or math.isinf(best_here[0]):
+        if not best_q or score < best_score or (prefer_larger and score == best_score):
+            best_score, best_q, best_total = score, q, total
+    if not best_q or math.isinf(best_score):
         return None
-    return best_here
+    del chosen[best_q:]
+    return best_score, best_q + 1, best_total, chosen
 
 
 def minimize_merge_ratio(
@@ -288,7 +289,7 @@ def minimize_merge_ratio(
     paths = tuple(
         tuple(searches[(r2, level_of[r2])].path_to(v)) for r2 in sel
     )
-    return MergeCandidate(score, total, h, r, v, b, sel, path_rv, paths)
+    return MergeCandidate(score, total, h, r, v, b, tuple(sel), path_rv, paths)
 
 
 def apply_merge(
