@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -68,6 +69,19 @@ class TestSolve:
             capsys, ["solve", tightness_file, "--solver", "pnwst", "--json"]
         )
         assert first == second
+
+    def test_repeat_runs_leave_no_cyclic_garbage(self, capsys, tightness_file):
+        # The parser is built once per process: one per call would leave its
+        # reference cycles behind, waiting for the cyclic collector.
+        argv = ["solve", tightness_file, "--solver", "pnwst", "--json"]
+        run(capsys, argv)
+        gc.collect()
+        gc.disable()
+        try:
+            run(capsys, argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_worker_count_does_not_change_output(self, capsys, tmp_path):
         path = tmp_path / "r.pst"
