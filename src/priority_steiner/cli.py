@@ -11,7 +11,8 @@ solution, JSON numbers carry 12 significant digits, and wall-clock timing
 goes to stderr so repeated runs emit identical bytes on stdout.
 
 Exit codes: 0 success/feasible, 1 infeasible solution, 2 usage or parse
-error, 3 oracle size guard.
+error (invalid instance values included) or a disconnected terminal set,
+3 oracle size guard.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ Rate-tree files (for the spider decomposition command)::
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .instances import (
@@ -55,11 +56,14 @@ def _records(text: str):
             yield i, line.split()
 
 
-def _num(line_no: int, token: str) -> float:
+def _weight(line_no: int, token: str) -> float:
     try:
-        return float(token)
+        w = float(token)
     except ValueError:
         raise ParseError(line_no, f"expected a number, got {token!r}") from None
+    if not (0.0 <= w < math.inf):
+        raise ParseError(line_no, f"weight {token!r} is negative or not finite")
+    return w
 
 
 def _int(line_no: int, token: str) -> int:
@@ -75,6 +79,7 @@ def parse_instance(text: str) -> Instance:
     n = None
     source = None
     terminals: dict[int, int] = {}
+    terminal_lines: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     edge_rows: list[tuple[float, ...]] = []
     node_rows: dict[int, tuple[float, ...]] = {}
@@ -101,6 +106,7 @@ def parse_instance(text: str) -> Instance:
             if t in terminals:
                 raise ParseError(line_no, f"terminal {t} declared twice")
             terminals[t] = _int(line_no, toks[2])
+            terminal_lines[t] = line_no
         elif head == "edge":
             if k is None:
                 raise ParseError(line_no, "edge before k")
@@ -110,7 +116,7 @@ def parse_instance(text: str) -> Instance:
             if kind == "PST":
                 if len(rest) != k:
                     raise ParseError(line_no, f"expected {k} edge weights")
-                edge_rows.append(tuple(_num(line_no, x) for x in rest))
+                edge_rows.append(tuple(_weight(line_no, x) for x in rest))
             elif rest:
                 raise ParseError(line_no, "node-weighted edges take no weights")
             edges.append((u, v))
@@ -124,7 +130,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, f"vertex {v} weighted twice")
             if len(toks) != 2 + k:
                 raise ParseError(line_no, f"expected {k} node weights")
-            node_rows[v] = tuple(_num(line_no, x) for x in toks[2:])
+            node_rows[v] = tuple(_weight(line_no, x) for x in toks[2:])
         else:
             raise ParseError(line_no, f"unknown record {head!r}")
 
@@ -133,6 +139,14 @@ def parse_instance(text: str) -> Instance:
     for name, val in (("k", k), ("nodes", n), ("source", source)):
         if val is None:
             raise ParseError(1, f"missing {name} record")
+    for t, lvl in terminals.items():
+        line_no = terminal_lines[t]
+        if not (1 <= t <= n):
+            raise ParseError(line_no, f"terminal {t} outside vertices 1..{n}")
+        if t == source:
+            raise ParseError(line_no, f"terminal {t} is the source")
+        if not (1 <= lvl <= k):
+            raise ParseError(line_no, f"terminal {t} level {lvl} outside 1..{k}")
     graph = PriorityGraph(n, edges, k)
     if kind == "PST":
         return PstInstance(graph, source, terminals, edge_rows)

@@ -1,21 +1,22 @@
 """Exact optima by exhaustive tree enumeration, for desk-scale instances.
 
-Both oracles run one search, ``_exact_search``.  Candidate trees are grown
-edge by edge from the source; every subtree of the graph containing the
-source is visited at most once via binary include/exclude branching with
-permanent exclusion.  Growing vertex x over edge e charges e's level table
-plus x's level table: the edge-weighted oracle passes all-zero vertex
-tables, the node-weighted one all-zero edge tables.  A grown tree is scored
-by its minimal feasible rates (each grown vertex pays both tables at the
-highest terminal priority in its subtree, the source pays its own table at
-the top level), so junk branches cost nothing and the scan can stop as soon
-as all terminals are reached.  The lower bound adds both level-1 weights
-per grown vertex, the vertex's own only when it is neither a terminal nor
-the source; it prunes against the incumbent, which starts from a verified
-heuristic solution.
+Both oracles run one search, ``_exact_search``, at every number of levels.
+Candidate trees are grown edge by edge from the source; every subtree of
+the graph containing the source is visited at most once via binary
+include/exclude branching with permanent exclusion.  Growing vertex x over
+edge e charges e's level table plus x's level table: the edge-weighted
+oracle passes all-zero vertex tables, the node-weighted one all-zero edge
+tables.  A grown tree is scored by its minimal feasible rates (each grown
+vertex pays both tables at the highest terminal priority in its subtree,
+the source pays its own table at the top level), so junk branches cost
+nothing and the scan can stop as soon as all terminals are reached.  The
+lower bound adds both level-1 weights per grown vertex, the vertex's own
+only when it is neither a terminal nor the source; it prunes against the
+incumbent, which starts from a verified heuristic solution.
 
-These oracles refuse instances above the edge guard rather than
-approximate: exactness is the whole point.
+The edge guard (``max_edges``) is the only size limit, for every k and both
+flavours.  These oracles refuse instances above it rather than approximate:
+exactness is the whole point.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .instances import (
     Solution,
     VertexRateSolution,
     _raise_to_subtree_max,
+    _single_rate_instance,
     check_feasible,
     forced_rates,
     solution_weight,
 )
 
 DEFAULT_MAX_EDGES = 24
-_MAX_OPTIONAL = 20
 
 
 class InstanceTooLargeError(ValueError):
@@ -156,8 +157,11 @@ def _exact_search(
 
     if best_tree is not None:
         witness = forced_rates(inst, best_tree)
-    assert witness is not None, "connected instances always have a tree"
-    assert abs(solution_weight(inst, witness) - best) < 1e-9
+    if witness is None:
+        raise ValueError("no spanning tree: terminal set is disconnected")
+    weight = solution_weight(inst, witness)
+    if abs(weight - best) >= 1e-9:
+        raise RuntimeError(f"witness weighs {weight}, the search scored {best}")
     return OracleResult(best, witness, count)
 
 
@@ -192,13 +196,10 @@ def exact_pnwst(
 ) -> OracleResult:
     """Exact optimum of a node-weighted instance.
 
-    With a single level the tree shape is irrelevant, so vertex subsets are
-    enumerated instead of trees; otherwise the same tree scan as the
-    edge-weighted oracle runs with vertex scoring.
+    The same tree scan as the edge-weighted oracle, for every k, with
+    vertex scoring: each grown vertex pays its own table, the edges nothing.
     """
     _guard(inst.graph.m, max_edges)
-    if inst.graph.k == 1:
-        return _exact_pnwst_single_level(inst)
     g = inst.graph
     if not inst.terminals:
         sol = VertexRateSolution({inst.source: g.k}, ())
@@ -212,62 +213,6 @@ def exact_pnwst(
     return _exact_search(inst, [zeros] * g.m, [zeros, *inst.vertex_weights], warm)
 
 
-def _exact_pnwst_single_level(inst: PnwstInstance) -> OracleResult:
-    g = inst.graph
-    required = sorted(set(inst.terminals) | {inst.source})
-    optional = [
-        v for v in range(1, g.n + 1) if v not in inst.terminals and v != inst.source
-    ]
-    if len(optional) > _MAX_OPTIONAL:
-        raise InstanceTooLargeError(
-            f"{len(optional)} optional vertices exceed the single-level guard"
-        )
-    adj = g.adjacency
-    costs = [inst.weight(v, 1) for v in range(g.n + 1)]
-
-    best = math.inf
-    best_used: Optional[set[int]] = None
-    count = 0
-    for mask in range(1 << len(optional)):
-        used = set(required)
-        total = 0.0
-        for i, v in enumerate(optional):
-            if mask >> i & 1:
-                used.add(v)
-                total += costs[v]
-        if total >= best:
-            continue
-        count += 1
-        seen = {inst.source}
-        stack = [inst.source]
-        while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if y in used and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if used <= seen:
-            best = total
-            best_used = used
-    assert best_used is not None, "connected instances always have a solution"
-
-    # Deterministic witness: breadth-first tree of the winning vertex set.
-    parent = {inst.source: 0}
-    queue = [inst.source]
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        for y, _ in adj[x]:
-            if y in best_used and y not in parent:
-                parent[y] = x
-                queue.append(y)
-    edges = [(parent[v], v) for v in queue if v != inst.source]
-    witness = forced_rates(inst, edges)
-    assert abs(solution_weight(inst, witness) - best) < 1e-9
-    return OracleResult(best, witness, count)
-
-
 def exact_steiner(
     graph: PriorityGraph,
     terminals: set[int],
@@ -275,13 +220,6 @@ def exact_steiner(
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> OracleResult:
     """Exact minimum-weight tree spanning the terminal set at one rate."""
-    terms = sorted(terminals)
-    if not terms:
-        raise ValueError("at least one terminal is required")
-    inst = PstInstance(
-        PriorityGraph(graph.n, list(graph.edges), 1),
-        terms[0],
-        {t: 1 for t in terms[1:]},
-        [(float(w),) for w in weights],
+    return exact_pst(
+        _single_rate_instance(graph, terminals, weights), max_edges=max_edges
     )
-    return exact_pst(inst, max_edges=max_edges)

@@ -1,16 +1,18 @@
 """Rate-restricted shortest paths for both problem flavours.
 
 ``edge_rate_search`` prices every edge at a fixed level and runs Dijkstra
-from a set of sources.  ``node_rate_search`` prices interior vertices at a
-fixed level: the returned distance to x is the cheapest sum of interior
-vertex weights over source-x paths, endpoints excluded, so adjacent vertices
-are at distance 0.
+from a set of sources.  ``node_rate_search`` prices interior vertices, by
+default at a fixed level: the returned distance to x is the cheapest sum of
+interior vertex prices over source-x paths, endpoints excluded, so adjacent
+vertices are at distance 0.
 
 Both are one search loop, ``_dijkstra``, in which stepping from u over
 edge e costs ``vertex_cost[u] + edge_cost[e]``.  The edge search passes
 zero vertex costs and the level's weight column (all zeros at level 0);
-the node search passes each vertex's price with the source's set to 0,
-which leaves the source and the endpoint x uncharged, and zero edge costs.
+the node search passes a copy of its vertex price column with the source's
+entry set to 0, which leaves the source and the endpoint x uncharged, and
+zero edge costs.  The column is the level's weights unless the caller
+passes another, such as the merge scan's residual charges.
 
 A rate restriction never disconnects anything; it only changes prices.
 Unreachable therefore means unreachable in the graph itself and is reported
@@ -124,25 +126,16 @@ def node_rate_search(
     inst: PnwstInstance,
     source: int,
     rate: int,
-    current_rates: Optional[dict[int, int]] = None,
+    prices: Optional[list[float]] = None,
     stop: Optional[Callable[[int], bool]] = None,
 ) -> PathResult:
     """Single-source search under interior vertex prices at the given level.
 
-    By default a vertex y costs its full table entry at the level.  With
-    ``current_rates`` the cost drops to the residual
-    max(0, w(y, level) - w(y, current)) so already-paid upgrades are free;
-    candidate costs only shrink under this mode.
+    ``prices[y]`` is what an interior vertex y costs, by vertex id with
+    entry 0 unused; by default it is y's weight at the level.  The column
+    is read, never modified.
     """
-    col = inst._level_column(rate)
-    if current_rates is None:
-        cost = list(col)
-    else:
-        paid = [inst._level_column(lvl) for lvl in range(inst.graph.k + 1)]
-        cost = [
-            max(0.0, w - paid[current_rates.get(v, 0)][v])
-            for v, w in enumerate(col)
-        ]
+    cost = list(inst._level_column(rate) if prices is None else prices)
     cost[source] = 0.0
     dist, parent, stopped = _dijkstra(
         inst.graph.adjacency, (source,), cost, [0.0] * inst.graph.m, stop

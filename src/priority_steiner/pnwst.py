@@ -218,12 +218,19 @@ def minimize_merge_ratio(
     if charging not in ("residual", "full"):
         raise ValueError(f"unknown charging mode {charging!r}")
     residual = charging == "residual"
-    cur = forest.rates if residual else None
     searches = {} if residual or _searches is None else _searches
     n = inst.graph.n
     k = inst.graph.k
     roots = sorted(forest.trees)
     level_of = {r: root_priority(inst, r) for r in roots}
+
+    # A vertex's charge per level, both as a path interior and as a center:
+    # its weight there, less the weight at its paid level when charging
+    # residually.
+    charges = [inst._level_column(b) for b in range(k + 1)]
+    if residual:
+        paid = [charges[forest.rates.get(v, 0)][v] for v in range(n + 1)]
+        charges = [[max(0.0, w - p) for w, p in zip(col, paid)] for col in charges]
 
     # One search per (root, level up to the root's priority); the search at
     # the root's own priority also provides the center-to-root leg costs,
@@ -231,14 +238,7 @@ def minimize_merge_ratio(
     for r in roots:
         for b in range(1, level_of[r] + 1):
             if (r, b) not in searches:
-                searches[(r, b)] = node_rate_search(inst, r, b, cur)
-
-    # The center's own charge per level: its weight there, less the weight
-    # at its paid level when charging residually.
-    charges = [inst._level_column(b) for b in range(k + 1)]
-    if residual:
-        paid = [charges[forest.rates.get(v, 0)][v] for v in range(n + 1)]
-        charges = [[max(0.0, w - p) for w, p in zip(col, paid)] for col in charges]
+                searches[(r, b)] = node_rate_search(inst, r, b, charges[b])
 
     best_key = None
     best = None
@@ -359,28 +359,32 @@ def apply_merge(
         del forest.trees[cand.root]
     forest.trees[cand.root] = fused
     forest.iteration += 1
-    _assert_serves_terminals(inst, forest, fused)
+    _check_serves_terminals(inst, forest, fused)
     return added
 
 
-def _assert_serves_terminals(
+def _check_serves_terminals(
     inst: PnwstInstance, forest: RateForest, piece: TreePiece
 ) -> None:
     # Every merged-in terminal must reach the root through vertices at or
     # above its own priority, at the current levels.
     reached = _tree_parents(piece.root, piece.edges)
-    assert reached is not None, "fused tree has a cycle"
+    if reached is None:
+        raise RuntimeError("fused tree has a cycle")
     parent = reached[0]
-    assert len(parent) == len(piece.vertices), "fused tree is disconnected"
+    if len(parent) != len(piece.vertices):
+        raise RuntimeError("fused tree is disconnected")
     for t in piece.merged_terminals:
         need = inst.terminals[t]
         v = t
-        while v != piece.root:
-            assert forest.rates.get(v, 0) >= need, (
-                f"vertex {v} below priority {need} on the path of terminal {t}"
-            )
+        while True:
+            if forest.rates.get(v, 0) < need:
+                raise RuntimeError(
+                    f"vertex {v} below priority {need} on the path of terminal {t}"
+                )
+            if v == piece.root:
+                break
             v = parent[v]
-        assert forest.rates.get(piece.root, 0) >= need
 
 
 def greedy_merge(

@@ -26,11 +26,17 @@ from .instances import (
     PriorityGraph,
     PstInstance,
     _DisjointSets,
+    _single_rate_instance,
     canonical_edge,
     forced_rates,
     solution_weight,
 )
 from .paths import edge_rate_search
+
+# An attachment search that ends without reaching its target (the tree, or
+# a higher-priority vertex, which the source always is) has exhausted a
+# component without the source.
+_DISCONNECTED = "no finite attachment: terminal set is disconnected"
 
 
 @dataclass
@@ -94,7 +100,8 @@ def attach_by_priority(inst: PstInstance) -> PstRunReport:
     for t in order:
         lvl = inst.terminals[t]
         res = edge_rate_search(inst, [t], lvl, stop=reached.__contains__)
-        assert res.stopped_at is not None, "connected graphs always attach"
+        if res.stopped_at is None:
+            raise ValueError(_DISCONNECTED)
         costs[t] = res.dist[res.stopped_at]
         path = res.path_to(res.stopped_at)
         for a, b in zip(path, path[1:]):
@@ -120,7 +127,8 @@ def _attach_one(
     res = edge_rate_search(
         inst, [t], lvl, stop=lambda u: u in eff and eff[u] > mine
     )
-    assert res.stopped_at is not None, "the source always qualifies"
+    if res.stopped_at is None:
+        raise ValueError(_DISCONNECTED)
     return res.stopped_at, res.dist[res.stopped_at], res.path_to(res.stopped_at)
 
 
@@ -164,15 +172,8 @@ def steiner_mst_approx(
     the union.  The result is within 2(1 - 1/|terminals|) of the optimal
     Steiner tree for the given weights.
     """
-    if not terminals:
-        raise ValueError("at least one terminal is required")
+    inst = _single_rate_instance(graph, terminals, weights)
     terms = sorted(terminals)
-    inst = PstInstance(
-        PriorityGraph(graph.n, list(graph.edges), 1),
-        terms[0],
-        {t: 1 for t in terms[1:]},
-        [(float(w),) for w in weights],
-    )
     if len(terms) == 1:
         return []
     searches = {t: edge_rate_search(inst, [t], 1) for t in terms}

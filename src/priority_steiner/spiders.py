@@ -186,13 +186,19 @@ def decompose_rate_spiders(
             with_rate = [
                 v for v in body if v in remaining and work.rates[v] == work.rates[u]
             ]
-            assert with_rate, "an optimized tree realizes every unmarked level"
+            if not with_rate:
+                raise RuntimeError(
+                    f"no marked vertex below {u} carries its level {work.rates[u]}"
+                )
             spider_root = min(with_rate)
 
         rest_marked = remaining - set(body)
         if len(rest_marked) <= 1:
             if len(rest_marked) == 1:
-                assert rest_marked == {work.root}
+                if rest_marked != {work.root}:
+                    raise RuntimeError(
+                        f"last marked vertex {min(rest_marked)} is not the root"
+                    )
                 # Fold the root-to-u path into this last spider.
                 path = [u]
                 while path[-1] != work.root:

@@ -5,7 +5,8 @@ costs come from exhaustive simple-path enumeration, rate assignments from
 exhaustive level enumeration, and merge scores from exhaustive subset
 enumeration.  ``reference_merge_scan`` is the library's earlier unpruned
 merge scan, kept verbatim so that the pruned scan can be held to exactly
-the same choices.
+the same choices; its residual search prices come from
+``residual_prices`` here, not from the library's merge scan.
 """
 
 from __future__ import annotations
@@ -94,6 +95,26 @@ def enum_best_assignment(inst, tree_edges) -> float:
     return best
 
 
+def residual_prices(
+    inst: PnwstInstance, level: int, rates: dict[int, int]
+) -> list[float]:
+    """Vertex prices at the level, less the weight at each vertex's paid level.
+
+    The residual charge max(0, w(y, level) - w(y, rates[y])), by vertex id
+    with entry 0 unused; with no rates it is the plain weight column.
+    """
+    return [0.0] + [
+        max(0.0, inst.weight(v, level) - inst.weight(v, rates.get(v, 0)))
+        for v in range(1, inst.graph.n + 1)
+    ]
+
+
+def _search(inst, root, level, rates):
+    # A node search priced in full, or residually when rates are given.
+    prices = None if rates is None else residual_prices(inst, level, rates)
+    return node_rate_search(inst, root, level, prices)
+
+
 def enum_min_merge_ratio(
     inst: PnwstInstance, forest: RateForest, charging: str = "residual"
 ) -> float:
@@ -101,11 +122,11 @@ def enum_min_merge_ratio(
     cur = forest.rates if charging == "residual" else None
     roots = sorted(forest.trees)
     lvl = {r: root_priority(inst, r) for r in roots}
-    legs = {r: node_rate_search(inst, r, lvl[r], cur).dist for r in roots}
+    legs = {r: _search(inst, r, lvl[r], cur).dist for r in roots}
     best = math.inf
     for r in roots:
         for b in range(1, lvl[r] + 1):
-            head_map = node_rate_search(inst, r, b, cur).dist
+            head_map = _search(inst, r, b, cur).dist
             pool = [r2 for r2 in roots if r2 != r and lvl[r2] <= b]
             for v in range(1, inst.graph.n + 1):
                 w = inst.weight(v, b)
@@ -145,7 +166,7 @@ def reference_merge_scan(
     searches: dict[tuple[int, int], PathResult] = {}
     for r in roots:
         for b in range(1, level_of[r] + 1):
-            searches[(r, b)] = node_rate_search(inst, r, b, cur)
+            searches[(r, b)] = _search(inst, r, b, cur)
 
     elig = {b: [r for r in roots if level_of[r] <= b] for b in range(1, k + 1)}
     legs: dict[int, list[list[tuple[float, int]]]] = {}

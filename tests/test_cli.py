@@ -18,6 +18,53 @@ DISCONNECTED_PNWST = (
     "PNWST 1\nk 1\nnodes 4\nsource 1\n"
     "terminal 2 1\nterminal 4 1\nedge 1 2\nedge 3 4\n"
 )
+DISCONNECTED_PST = (
+    "PST 1\nk 1\nnodes 4\nsource 1\n"
+    "terminal 2 1\nterminal 4 1\nedge 1 2 1\nedge 3 4 1\n"
+)
+
+# Files that parse as records but hold invalid values, with the line the
+# error must name.
+INVALID_VALUES = {
+    "terminal-outside": (
+        "PST 1\nk 1\nnodes 3\nsource 1\nterminal 7 1\n"
+        "edge 1 2 1\nedge 2 3 1\n",
+        5,
+    ),
+    "level-above-k": (
+        "PST 1\nk 1\nnodes 3\nsource 1\nterminal 3 4\n"
+        "edge 1 2 1\nedge 2 3 1\n",
+        5,
+    ),
+    "source-as-terminal": (
+        "PST 1\nk 1\nnodes 3\nsource 1\nterminal 1 1\nterminal 3 1\n"
+        "edge 1 2 1\nedge 2 3 1\n",
+        5,
+    ),
+    "negative-weight": (
+        "PST 1\nk 1\nnodes 3\nsource 1\nterminal 3 1\n"
+        "edge 1 2 1\nedge 2 3 -5\n",
+        7,
+    ),
+    "nan-weight": (
+        "PNWST 1\nk 1\nnodes 3\nsource 1\nterminal 3 1\n"
+        "edge 1 2\nedge 2 3\nnode 2 nan\n",
+        8,
+    ),
+}
+
+
+def run_without_asserts(argv):
+    """Run the CLI in a ``python -O`` subprocess, which strips asserts."""
+    src = str(Path(priority_steiner.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "priority_steiner.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 @pytest.fixture
@@ -121,20 +168,52 @@ class TestSolve:
         # python -O strips assert statements; the error must not rely on one.
         path = tmp_path / "split.pnwst"
         path.write_text(DISCONNECTED_PNWST)
-        src = str(Path(priority_steiner.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "priority_steiner.cli", "solve",
-             str(path), "--solver", "pnwst"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_without_asserts(["solve", str(path), "--solver", "pnwst"])
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "error: no finite merge: terminal set is disconnected"
         ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--solver", "alg1"], ["solve", "--solver", "alg2"],
+         ["solve", "--solver", "best"], ["exact"]],
+        ids=["alg1", "alg2", "best", "exact"],
+    )
+    def test_disconnected_pst_is_an_error_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "split.pst"
+        path.write_text(DISCONNECTED_PST)
+        code = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no finite attachment: terminal set is disconnected\n"
+        )
+
+    @pytest.mark.parametrize("solver", ["alg1", "alg2"])
+    def test_disconnected_pst_without_asserts(self, tmp_path, solver):
+        path = tmp_path / "split.pst"
+        path.write_text(DISCONNECTED_PST)
+        proc = run_without_asserts(["solve", str(path), "--solver", solver])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: no finite attachment: terminal set is disconnected"
+        ]
+
+    @pytest.mark.parametrize("name", sorted(INVALID_VALUES))
+    def test_invalid_values_exit_two(self, capsys, tmp_path, name):
+        text, line = INVALID_VALUES[name]
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        solver = "pnwst" if text.startswith("PNWST") else "best"
+        for argv in (["solve", str(path), "--solver", solver], ["exact", str(path)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            (err,) = captured.err.splitlines()
+            assert err.startswith(f"error: line {line}: ")
 
 
 class TestExact:
@@ -142,6 +221,19 @@ class TestExact:
         code, out = run(capsys, ["exact", single_edge_file])
         assert code == 0
         assert "opt 3" in out
+
+    def test_single_level_path_within_edge_guard(self, capsys, tmp_path):
+        # 23 edges and 22 weighted interior vertices: inside the 24-edge
+        # guard, which is the only size limit at every k.
+        path = tmp_path / "path.pnwst"
+        path.write_text(
+            "PNWST 1\nk 1\nnodes 24\nsource 1\nterminal 24 1\n"
+            + "".join(f"edge {v} {v + 1}\n" for v in range(1, 24))
+            + "".join(f"node {v} 1\n" for v in range(2, 24))
+        )
+        code, out = run(capsys, ["exact", str(path)])
+        assert code == 0
+        assert out.splitlines()[0] == "opt 22"
 
     def test_guard_exit_three(self, capsys, tmp_path):
         path = tmp_path / "big.pst"

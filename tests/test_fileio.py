@@ -59,6 +59,28 @@ class TestParseErrors:
                 6,
             ),
             ("PNWST 1\nk 1\nnodes 2\nsource 1\nedge 1 2 9\n", "no weights", 5),
+            (
+                "PST 1\nk 1\nnodes 3\nsource 1\nterminal 7 1\nedge 1 2 1\n",
+                "outside vertices",
+                5,
+            ),
+            (
+                "PST 1\nk 1\nterminal 1 1\nnodes 2\nsource 1\nedge 1 2 1\n",
+                "is the source",
+                3,
+            ),
+            (
+                "PNWST 1\nk 1\nnodes 2\nsource 1\nterminal 2 4\nedge 1 2\n",
+                "level 4 outside 1..1",
+                5,
+            ),
+            ("PST 1\nk 2\nnodes 2\nsource 1\nedge 1 2 1 -5\n", "negative", 5),
+            ("PST 1\nk 1\nnodes 2\nsource 1\nedge 1 2 inf\n", "not finite", 5),
+            (
+                "PNWST 1\nk 1\nnodes 2\nsource 1\nedge 1 2\nnode 2 nan\n",
+                "not finite",
+                6,
+            ),
         ],
     )
     def test_line_numbers_reported(self, text, fragment, line):

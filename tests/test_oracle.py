@@ -78,8 +78,9 @@ class TestExactPnwst:
         assert res.opt_weight == 1.0
 
     def test_multi_level_matches_single_level_shortcut(self):
-        # Same instance solved through both code paths: once with k=1 and
-        # once re-encoded with a dummy second level.
+        # Same instance solved once with k=1 and once re-encoded with a
+        # dummy second level; both run the one tree search, and a second
+        # level that repeats the first must not change the optimum.
         inst1 = gen_tightness_pnwst(3)
         g = inst1.graph
         g2 = PriorityGraph(g.n, list(g.edges), 2)

@@ -14,7 +14,7 @@ from priority_steiner import (
     node_rate_search,
 )
 
-from helpers import enum_edge_path_cost, enum_node_path_cost
+from helpers import enum_edge_path_cost, enum_node_path_cost, residual_prices
 
 
 def triangle(scale=1.0):
@@ -80,8 +80,10 @@ class TestNodeSearch:
 
     def test_residual_discounts_paid_vertices(self):
         inst = gen_tightness_pnwst(3)
-        paid = {6: 1}
-        res = node_rate_search(inst, 1, 1, current_rates=paid)
+        # Vertex 6, the first bridge, already paid at level 1 costs nothing.
+        prices = residual_prices(inst, 1, {6: 1})
+        assert prices[6] == 0.0
+        res = node_rate_search(inst, 1, 1, prices)
         assert res.dist[2] == 0.0
         full = node_rate_search(inst, 1, 1)
         for v in range(1, inst.graph.n + 1):
@@ -90,8 +92,15 @@ class TestNodeSearch:
     def test_residual_with_no_rates_matches_full(self):
         inst = gen_random_pnwst(8, 0.4, 2, 0.5, 3)
         a = node_rate_search(inst, 1, 2)
-        b = node_rate_search(inst, 1, 2, current_rates={})
+        b = node_rate_search(inst, 1, 2, residual_prices(inst, 2, {}))
         assert a.dist == b.dist
+
+    def test_price_column_is_not_modified(self):
+        inst = gen_random_pnwst(8, 0.4, 2, 0.5, 3)
+        prices = [float(v) for v in range(inst.graph.n + 1)]
+        res = node_rate_search(inst, 3, 1, prices)
+        assert prices == [float(v) for v in range(inst.graph.n + 1)]
+        assert res.dist[3] == 0.0
 
     def test_early_exit_predicate(self):
         inst = gen_tightness_pnwst(3)

@@ -2,7 +2,8 @@
 
 The search loop, the union-find and the oracle's tree growth are each
 written once in ``src/priority_steiner``; these checks fail when a second
-copy appears, so a change to one of them has one place to go.
+copy appears, so a change to one of them has one place to go.  The package
+also holds no ``assert`` statement, so its checks survive ``python -O``.
 """
 
 import ast
@@ -76,3 +77,15 @@ def test_one_recursive_oracle_search():
     }
     recursive = sorted(fn.name for fn in nested if _calls(fn, fn.name))
     assert len(recursive) == 1, recursive
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so an invariant or input check written as
+    # one would silently stop holding.
+    asserts = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == [], asserts
