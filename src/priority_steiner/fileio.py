@@ -10,6 +10,8 @@ Instance files are line records with ``#`` comments::
     edge <u> <v> [w1 .. wk]    (weights for PST only)
     node <v> <w1 .. wk>        (PNWST only; unlisted vertices are free)
 
+Weights are finite, nonnegative and nondecreasing in the level.
+
 Solution files hold one ``rate`` line per selected element: ``rate u-v
 <level>`` for edges, ``rate v <level>`` for vertices.  Node-weighted
 solution files may also carry explicit ``edge u v`` tree lines; without
@@ -66,6 +68,15 @@ def _weight(line_no: int, token: str) -> float:
     return w
 
 
+def _weight_row(line_no: int, tokens: list[str]) -> tuple[float, ...]:
+    # Every solver and the oracle assume a weight never drops as the level
+    # rises; a falling row would make the oracle report a wrong optimum.
+    row = [_weight(line_no, x) for x in tokens]
+    if row != sorted(row):
+        raise ParseError(line_no, "weights decrease as the level rises")
+    return tuple(row)
+
+
 def _int(line_no: int, token: str) -> int:
     try:
         return int(token)
@@ -83,6 +94,7 @@ def parse_instance(text: str) -> Instance:
     edges: list[tuple[int, int]] = []
     edge_rows: list[tuple[float, ...]] = []
     node_rows: dict[int, tuple[float, ...]] = {}
+    node_lines: dict[int, int] = {}
 
     for line_no, toks in _records(text):
         head = toks[0]
@@ -116,7 +128,7 @@ def parse_instance(text: str) -> Instance:
             if kind == "PST":
                 if len(rest) != k:
                     raise ParseError(line_no, f"expected {k} edge weights")
-                edge_rows.append(tuple(_weight(line_no, x) for x in rest))
+                edge_rows.append(_weight_row(line_no, rest))
             elif rest:
                 raise ParseError(line_no, "node-weighted edges take no weights")
             edges.append((u, v))
@@ -130,7 +142,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, f"vertex {v} weighted twice")
             if len(toks) != 2 + k:
                 raise ParseError(line_no, f"expected {k} node weights")
-            node_rows[v] = tuple(_weight(line_no, x) for x in toks[2:])
+            node_rows[v] = _weight_row(line_no, toks[2:])
+            node_lines[v] = line_no
         else:
             raise ParseError(line_no, f"unknown record {head!r}")
 
@@ -150,11 +163,11 @@ def parse_instance(text: str) -> Instance:
     graph = PriorityGraph(n, edges, k)
     if kind == "PST":
         return PstInstance(graph, source, terminals, edge_rows)
+    for v, line_no in node_lines.items():
+        if not (1 <= v <= n):
+            raise ParseError(line_no, f"node {v} out of range")
     zeros = tuple(0.0 for _ in range(k))
     rows = [node_rows.get(v, zeros) for v in range(1, n + 1)]
-    for v in node_rows:
-        if not (1 <= v <= n):
-            raise ParseError(1, f"node {v} out of range")
     return PnwstInstance(graph, source, terminals, rows)
 
 

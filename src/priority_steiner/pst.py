@@ -7,8 +7,14 @@ Three approximation strategies plus a combinator:
 * ``attach_to_higher_priority`` connects every terminal independently to the
   nearest vertex of strictly higher effective priority; the per-terminal
   searches are read-only and may run in parallel.
-* ``per_level_union`` builds one metric-closure Steiner approximation per
-  priority level and unions the trees.
+* ``per_level_union`` builds one Steiner tree per priority level by
+  Mehlhorn's construction and unions the trees.  A level's tree comes from
+  one multi-source search from its terminals and the source: each vertex
+  falls in the Voronoi region of the source its search path ends at, an
+  MST is taken over the edges bridging two regions, and each accepted
+  bridge brings its two search paths.  That MST weighs exactly as much as
+  the metric-closure MST, so the tree is within 2(1 - 1/l) of the optimal
+  Steiner tree over the level's l vertices, and the union within 2k.
 * ``best_of`` returns the lightest of the three results.
 
 All solvers finish with ``remove_cycles``: a maximum-rate spanning forest
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .instances import (
     EdgeRateSolution,
@@ -31,11 +38,12 @@ from .instances import (
     forced_rates,
     solution_weight,
 )
-from .paths import edge_rate_search
+from .paths import PathResult, edge_rate_search
 
 # An attachment search that ends without reaching its target (the tree, or
 # a higher-priority vertex, which the source always is) has exhausted a
-# component without the source.
+# component without the source; a bridge sweep that joins fewer than all
+# its terminals has found two components.
 _DISCONNECTED = "no finite attachment: terminal set is disconnected"
 
 
@@ -162,34 +170,92 @@ def attach_to_higher_priority(inst: PstInstance, workers: int = 1) -> PstRunRepo
     return PstRunReport(remove_cycles(inst, rates), costs, tuple(parents), "alg2")
 
 
+def _bridge_mst(
+    graph: PriorityGraph, res: PathResult, weights: list[float]
+) -> list[tuple[float, int, int, int]]:
+    """Kruskal over the edges joining two Voronoi regions of one search.
+
+    ``res`` is a full multi-source search under ``weights``; a vertex's
+    region is the source its parent path ends at.  A bridge (u, v) gets the
+    key (dist[u] + w + dist[v], smaller region, larger region, edge id),
+    and the accepted keys are returned in sweep order.  Fewer than
+    ``len(res.sources) - 1`` of them means the sources are disconnected.
+    """
+    parent, dist = res.parent, res.dist
+    base = [0] * (graph.n + 1)
+    for s in res.sources:
+        base[s] = s
+    for v in range(1, graph.n + 1):
+        chain = []
+        while not base[v] and parent[v]:
+            chain.append(v)
+            v = parent[v]
+        for x in chain:
+            base[x] = base[v]  # 0 for vertices the search never reached
+    keys = []
+    for eid, (u, v) in enumerate(graph.edges):
+        bu, bv = base[u], base[v]
+        if bu != bv and bu and bv:
+            keys.append(
+                (dist[u] + weights[eid] + dist[v], min(bu, bv), max(bu, bv), eid)
+            )
+    keys.sort()
+    ds = _DisjointSets(graph.n)
+    want = len(res.sources) - 1
+    accepted = []
+    for key in keys:
+        if len(accepted) == want:
+            break
+        if ds.union(key[1], key[2]):
+            accepted.append(key)
+    return accepted
+
+
+def _voronoi_tree(
+    inst: PstInstance, terminals: Iterable[int], level: int
+) -> set[tuple[int, int]]:
+    """Mehlhorn's Steiner tree over a terminal set at one level.
+
+    One multi-source search from the terminals, an MST over the bridges
+    between their Voronoi regions, and each accepted bridge expanded into
+    the bridge edge plus the two search paths back to its regions' sources.
+    The union is a tree whose leaves are all terminals.
+    """
+    res = edge_rate_search(inst, terminals, level)
+    bridges = _bridge_mst(inst.graph, res, inst._level_column(level))
+    if len(bridges) < len(res.sources) - 1:
+        raise ValueError(_DISCONNECTED)
+    parent = res.parent
+    tree: set[tuple[int, int]] = set()
+    for _, _, _, eid in bridges:
+        u, v = inst.graph.edges[eid]
+        tree.add((u, v))
+        for x in (u, v):
+            # Stop at the first edge already in the tree: its path back to
+            # the region's source is in the tree too.
+            while parent[x]:
+                pair = canonical_edge(parent[x], x)
+                if pair in tree:
+                    break
+                tree.add(pair)
+                x = parent[x]
+    return tree
+
+
 def steiner_mst_approx(
     graph: PriorityGraph, terminals: set[int], weights: list[float]
 ) -> list[tuple[int, int]]:
-    """Metric-closure MST Steiner approximation at a single rate.
+    """Mehlhorn's Steiner approximation at a single rate, as sorted edges.
 
-    Builds the shortest-path closure over the terminals, takes its minimum
-    spanning tree, expands closure edges back into graph paths, and cleans
-    the union.  The result is within 2(1 - 1/|terminals|) of the optimal
-    Steiner tree for the given weights.
+    One multi-source search from the terminals splits the graph into
+    Voronoi regions; the MST over the edges bridging two regions, keyed by
+    dist + weight + dist, weighs exactly as much as the metric-closure MST,
+    so the tree (bridges plus their search paths) is within 2(1 - 1/l) of
+    the optimal Steiner tree over the l terminals.  Raises ``ValueError``
+    when the terminals are disconnected.
     """
     inst = _single_rate_instance(graph, terminals, weights)
-    terms = sorted(terminals)
-    if len(terms) == 1:
-        return []
-    searches = {t: edge_rate_search(inst, [t], 1) for t in terms}
-    closure = sorted(
-        (searches[a].dist[b], a, b)
-        for i, a in enumerate(terms)
-        for b in terms[i + 1 :]
-    )
-    ds = _DisjointSets(graph.n)
-    rates: dict[tuple[int, int], int] = {}
-    for d, a, b in closure:
-        if ds.union(a, b):
-            path = searches[a].path_to(b)
-            for x, y in zip(path, path[1:]):
-                rates[canonical_edge(x, y)] = 1
-    return remove_cycles(inst, rates).edges
+    return sorted(_voronoi_tree(inst, terminals, 1))
 
 
 def per_level_union(inst: PstInstance) -> PstRunReport:
@@ -204,10 +270,7 @@ def per_level_union(inst: PstInstance) -> PstRunReport:
         group = {t for t, l in inst.terminals.items() if l == lvl}
         if not group:
             continue
-        tree = steiner_mst_approx(
-            inst.graph, group | {inst.source}, inst._level_column(lvl)
-        )
-        for pair in tree:
+        for pair in _voronoi_tree(inst, group | {inst.source}, lvl):
             if rates.get(pair, 0) < lvl:
                 rates[pair] = lvl
     return PstRunReport(remove_cycles(inst, rates), {}, (), "krho")

@@ -7,6 +7,9 @@ enumeration.  ``reference_merge_scan`` is the library's earlier unpruned
 merge scan, kept verbatim so that the pruned scan can be held to exactly
 the same choices; its residual search prices come from
 ``residual_prices`` here, not from the library's merge scan.
+``reference_closure_mst`` is the library's earlier metric-closure Steiner
+approximation, one full search per terminal, against which the Voronoi
+bridge construction is held to the same MST weight.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ from priority_steiner import (
     solution_weight,
 )
 from priority_steiner.generators import StableRng
-from priority_steiner.paths import PathResult, node_rate_search
+from priority_steiner.instances import (
+    _DisjointSets,
+    _single_rate_instance,
+    canonical_edge,
+)
+from priority_steiner.paths import PathResult, edge_rate_search, node_rate_search
+from priority_steiner.pst import remove_cycles
 from priority_steiner.pnwst import MergeCandidate, RateForest, root_priority
 from priority_steiner.spiders import RateTree, marked_optimize
 
@@ -247,3 +256,32 @@ def random_rate_tree(n: int, k: int, seed: int) -> tuple[RateTree, set[int]]:
         marked.add(rng.randint(2, n))
     tree = RateTree(1, rates, tuple(edges))
     return marked_optimize(tree, marked), marked
+
+
+def reference_closure_mst(
+    graph, terminals: set[int], weights: list[float]
+) -> tuple[float, list[tuple[int, int]]]:
+    """The earlier metric-closure MST approximation: (closure MST total, tree).
+
+    Verbatim except that it also sums the accepted closure distances.
+    """
+    inst = _single_rate_instance(graph, terminals, weights)
+    terms = sorted(terminals)
+    if len(terms) == 1:
+        return 0.0, []
+    searches = {t: edge_rate_search(inst, [t], 1) for t in terms}
+    closure = sorted(
+        (searches[a].dist[b], a, b)
+        for i, a in enumerate(terms)
+        for b in terms[i + 1 :]
+    )
+    ds = _DisjointSets(graph.n)
+    rates: dict[tuple[int, int], int] = {}
+    total = 0.0
+    for d, a, b in closure:
+        if ds.union(a, b):
+            total += d
+            path = searches[a].path_to(b)
+            for x, y in zip(path, path[1:]):
+                rates[canonical_edge(x, y)] = 1
+    return total, remove_cycles(inst, rates).edges

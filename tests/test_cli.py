@@ -51,6 +51,18 @@ INVALID_VALUES = {
         "edge 1 2\nedge 2 3\nnode 2 nan\n",
         8,
     ),
+    # Rated at level 2, vertex 2 would cost 1; accepted, the oracle would
+    # report an optimum of 5.
+    "decreasing-node-row": (
+        "PNWST 1\nk 2\nnodes 3\nsource 1\nterminal 3 1\n"
+        "edge 1 2\nedge 2 3\nnode 2 5 1\n",
+        8,
+    ),
+    "decreasing-edge-row": (
+        "PST 1\nk 2\nnodes 3\nsource 1\nterminal 3 1\n"
+        "edge 1 2 1 1\nedge 2 3 5 1\n",
+        7,
+    ),
 }
 
 
@@ -177,8 +189,9 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv",
         [["solve", "--solver", "alg1"], ["solve", "--solver", "alg2"],
-         ["solve", "--solver", "best"], ["exact"]],
-        ids=["alg1", "alg2", "best", "exact"],
+         ["solve", "--solver", "krho"], ["solve", "--solver", "best"],
+         ["exact"]],
+        ids=["alg1", "alg2", "krho", "best", "exact"],
     )
     def test_disconnected_pst_is_an_error_line(self, capsys, tmp_path, argv):
         path = tmp_path / "split.pst"
@@ -191,7 +204,7 @@ class TestSolve:
             "error: no finite attachment: terminal set is disconnected\n"
         )
 
-    @pytest.mark.parametrize("solver", ["alg1", "alg2"])
+    @pytest.mark.parametrize("solver", ["alg1", "alg2", "krho"])
     def test_disconnected_pst_without_asserts(self, tmp_path, solver):
         path = tmp_path / "split.pst"
         path.write_text(DISCONNECTED_PST)

@@ -81,6 +81,17 @@ class TestParseErrors:
                 "not finite",
                 6,
             ),
+            (
+                "PNWST 1\nk 1\nnodes 2\nsource 1\nedge 1 2\nnode 5 1\n",
+                "node 5 out of range",
+                6,
+            ),
+            ("PST 1\nk 3\nnodes 2\nsource 1\nedge 1 2 1 3 2\n", "decrease", 5),
+            (
+                "PNWST 1\nk 2\nnodes 2\nsource 1\nedge 1 2\nnode 2 5 1\n",
+                "decrease",
+                6,
+            ),
         ],
     )
     def test_line_numbers_reported(self, text, fragment, line):

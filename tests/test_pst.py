@@ -1,6 +1,10 @@
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_closure_mst
 from priority_steiner import (
     PriorityGraph,
     PstInstance,
@@ -14,7 +18,10 @@ from priority_steiner import (
     solution_weight,
     steiner_mst_approx,
 )
+from priority_steiner import pst
+from priority_steiner.instances import _tree_parents
 from priority_steiner.oracle import exact_pst, exact_steiner
+from priority_steiner.paths import edge_rate_search
 
 
 def log_bound(t_count: int) -> float:
@@ -155,6 +162,72 @@ class TestSteinerApprox:
         got = sum(inst.weight_of_pair(e, 1) for e in tree)
         opt = exact_steiner(inst.graph, terms, w).opt_weight
         assert got <= 2 * (1 - 1 / len(terms)) * opt + 1e-9
+
+
+def _level_groups(inst):
+    """(level, group plus source) for every level holding a terminal."""
+    for lvl in range(1, inst.graph.k + 1):
+        group = {t for t, l in inst.terminals.items() if l == lvl}
+        if group:
+            yield lvl, group | {inst.source}
+
+
+class TestVoronoiConstruction:
+    def test_bridge_mst_weighs_the_closure_mst(self):
+        # Mehlhorn's lemma: the MST over Voronoi bridges, each keyed by
+        # dist + weight + dist, weighs exactly the metric-closure MST.
+        pairs = 0
+        for seed in range(100):
+            inst = gen_random_pst(10 + seed % 11, 0.3, 3, 0.5, seed)
+            for lvl, terms in _level_groups(inst):
+                col = inst._level_column(lvl)
+                res = edge_rate_search(inst, terms, lvl)
+                bridges = pst._bridge_mst(inst.graph, res, col)
+                assert len(bridges) == len(terms) - 1
+                total, _ = reference_closure_mst(inst.graph, terms, col)
+                assert sum(b[0] for b in bridges) == pytest.approx(total)
+                pairs += 1
+        assert pairs >= 200
+
+    @given(st.integers(0, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_level_tree_is_a_tree_with_terminal_leaves(self, seed):
+        inst = gen_random_pst(14, 0.3, 3, 0.5, seed)
+        for lvl, terms in _level_groups(inst):
+            tree = pst._voronoi_tree(inst, terms, lvl)
+            if len(terms) == 1:
+                assert tree == set()
+                continue
+            reached = _tree_parents(inst.source, tree)
+            assert reached is not None  # acyclic
+            touched = {u for e in tree for u in e}
+            assert set(reached[0]) == touched >= terms
+            degree = Counter(u for e in tree for u in e)
+            assert {u for u, d in degree.items() if d == 1} <= terms
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_search_per_nonempty_level(self, monkeypatch, seed):
+        inst = gen_random_pst(30, 0.2, 4, 0.4, seed)
+        search = pst.edge_rate_search
+        seen = Counter()
+
+        def counted(inst, sources, rate, *args, **kwargs):
+            seen[rate] += 1
+            return search(inst, sources, rate, *args, **kwargs)
+
+        monkeypatch.setattr(pst, "edge_rate_search", counted)
+        per_level_union(inst)
+        levels = [lvl for lvl, _ in _level_groups(inst)]
+        assert len(levels) > 1
+        assert seen == Counter(levels)
+
+    def test_disconnected_terminals_raise(self):
+        g = PriorityGraph(4, [(1, 2), (3, 4)], 1)
+        with pytest.raises(ValueError, match="disconnected"):
+            steiner_mst_approx(g, {1, 2, 4}, [1.0, 1.0])
+        inst = PstInstance(g, 1, {2: 1, 4: 1}, [(1.0,), (1.0,)])
+        with pytest.raises(ValueError, match="disconnected"):
+            per_level_union(inst)
 
 
 class TestPerLevelUnion:
