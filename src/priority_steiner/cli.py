@@ -26,7 +26,6 @@ import time
 from typing import Optional
 
 from .fileio import (
-    ParseError,
     format_decomposition,
     load_instance,
     parse_rate_tree,
@@ -385,18 +384,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # ParseError and InstanceTooLargeError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InstanceTooLargeError) else 2
 
 
 def run() -> None:

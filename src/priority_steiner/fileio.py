@@ -10,13 +10,21 @@ Instance files are line records with ``#`` comments::
     edge <u> <v> [w1 .. wk]    (weights for PST only)
     node <v> <w1 .. wk>        (PNWST only; unlisted vertices are free)
 
-Weights are finite, nonnegative and nondecreasing in the level.
+``k``, ``nodes`` and ``source`` appear once each, and ``edge`` and ``node``
+records come after ``k``.  :func:`parse_instance` checks the text itself
+(record shapes, tokens, repeats, vertex ids the graph stores) and then the
+instance model of :func:`~priority_steiner.instances.validate_instance`: a
+simple graph, weights finite, nonnegative and nondecreasing in the level,
+terminals that are vertices other than the source with levels in 1..k,
+and in PNWST files a free source and terminals free up to their level.
+Connectivity is left to the solvers.  Every error is a
+:class:`ParseError` naming a line.
 
 Solution files hold one ``rate`` line per selected element: ``rate u-v
-<level>`` for edges, ``rate v <level>`` for vertices.  Node-weighted
-solution files may also carry explicit ``edge u v`` tree lines; without
-them the checker rebuilds a tree that favors high-rate vertices, which
-realizes a feasible tree whenever one exists.
+<level>`` for edges, ``rate v <level>`` for vertices, levels in 0..k.
+Node-weighted solution files may also carry explicit ``edge u v`` tree
+lines; without them the checker rebuilds a tree that favors high-rate
+vertices, which realizes a feasible tree whenever one exists.
 
 Rate-tree files (for the spider decomposition command)::
 
@@ -28,7 +36,6 @@ Rate-tree files (for the spider decomposition command)::
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .instances import (
@@ -40,6 +47,7 @@ from .instances import (
     Solution,
     VertexRateSolution,
     _DisjointSets,
+    _faults,
     canonical_edge,
 )
 from .spiders import RateTree, SpiderDecomposition
@@ -53,28 +61,9 @@ class ParseError(ValueError):
 
 def _records(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line.split()
-
-
-def _weight(line_no: int, token: str) -> float:
-    try:
-        w = float(token)
-    except ValueError:
-        raise ParseError(line_no, f"expected a number, got {token!r}") from None
-    if not (0.0 <= w < math.inf):
-        raise ParseError(line_no, f"weight {token!r} is negative or not finite")
-    return w
-
-
-def _weight_row(line_no: int, tokens: list[str]) -> tuple[float, ...]:
-    # Every solver and the oracle assume a weight never drops as the level
-    # rises; a falling row would make the oracle report a wrong optimum.
-    row = [_weight(line_no, x) for x in tokens]
-    if row != sorted(row):
-        raise ParseError(line_no, "weights decrease as the level rises")
-    return tuple(row)
+        toks = raw.partition("#")[0].split()
+        if toks:
+            yield i, toks
 
 
 def _int(line_no: int, token: str) -> int:
@@ -84,17 +73,29 @@ def _int(line_no: int, token: str) -> int:
         raise ParseError(line_no, f"expected an integer, got {token!r}") from None
 
 
+def _weights(line_no: int, tokens: list[str]) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, tokens))
+    except ValueError as exc:
+        raise ParseError(line_no, f"expected numbers: {exc}") from None
+
+
 def parse_instance(text: str) -> Instance:
+    """Read an instance file, enforcing the instance model at load.
+
+    The record loop checks only what text needs: record shapes, integer and
+    number tokens, and records given twice; after it, the source, edge ends
+    and ``node`` rows must name vertices in 1..n, which a graph cannot hold
+    otherwise.  The model rules are the ones
+    :func:`~priority_steiner.instances.validate_instance` reports, bar
+    connectivity; the first record that breaks one is reported by line.
+    """
     kind = None
-    k = None
-    n = None
-    source = None
+    once: dict[str, int] = {}
     terminals: dict[int, int] = {}
-    terminal_lines: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     edge_rows: list[tuple[float, ...]] = []
     node_rows: dict[int, tuple[float, ...]] = {}
-    node_lines: dict[int, int] = {}
 
     for line_no, toks in _records(text):
         head = toks[0]
@@ -105,12 +106,17 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "unsupported format version")
             kind = head
             continue
-        if head == "k":
-            k = _int(line_no, toks[1])
-        elif head == "nodes":
-            n = _int(line_no, toks[1])
-        elif head == "source":
-            source = _int(line_no, toks[1])
+        k = once.get("k")
+        if head in ("edge", "node") and k is None:
+            raise ParseError(line_no, f"{head} before k")
+        if head in ("k", "nodes", "source"):
+            if len(toks) != 2:
+                raise ParseError(line_no, f"{head} takes one value")
+            if head in once:
+                raise ParseError(line_no, f"{head} declared twice")
+            once[head] = _int(line_no, toks[1])
+            if once[head] < 1:
+                raise ParseError(line_no, f"{head} must be positive")
         elif head == "terminal":
             if len(toks) != 3:
                 raise ParseError(line_no, "terminal takes vertex and level")
@@ -118,57 +124,82 @@ def parse_instance(text: str) -> Instance:
             if t in terminals:
                 raise ParseError(line_no, f"terminal {t} declared twice")
             terminals[t] = _int(line_no, toks[2])
-            terminal_lines[t] = line_no
         elif head == "edge":
-            if k is None:
-                raise ParseError(line_no, "edge before k")
-            u = _int(line_no, toks[1])
-            v = _int(line_no, toks[2])
-            rest = toks[3:]
+            if len(toks) < 3:
+                raise ParseError(line_no, "edge takes two vertices")
             if kind == "PST":
-                if len(rest) != k:
+                if len(toks) != 3 + k:
                     raise ParseError(line_no, f"expected {k} edge weights")
-                edge_rows.append(_weight_row(line_no, rest))
-            elif rest:
+                edge_rows.append(_weights(line_no, toks[3:]))
+            elif len(toks) > 3:
                 raise ParseError(line_no, "node-weighted edges take no weights")
-            edges.append((u, v))
+            edges.append((_int(line_no, toks[1]), _int(line_no, toks[2])))
         elif head == "node":
             if kind != "PNWST":
                 raise ParseError(line_no, "node lines are for PNWST files")
-            if k is None:
-                raise ParseError(line_no, "node before k")
+            if len(toks) != 2 + k:
+                raise ParseError(line_no, f"expected {k} node weights")
             v = _int(line_no, toks[1])
             if v in node_rows:
                 raise ParseError(line_no, f"vertex {v} weighted twice")
-            if len(toks) != 2 + k:
-                raise ParseError(line_no, f"expected {k} node weights")
-            node_rows[v] = _weight_row(line_no, toks[2:])
-            node_lines[v] = line_no
+            node_rows[v] = _weights(line_no, toks[2:])
         else:
             raise ParseError(line_no, f"unknown record {head!r}")
 
     if kind is None:
         raise ParseError(1, "missing PST/PNWST header")
-    for name, val in (("k", k), ("nodes", n), ("source", source)):
-        if val is None:
+    for name in ("k", "nodes", "source"):
+        if name not in once:
             raise ParseError(1, f"missing {name} record")
-    for t, lvl in terminals.items():
-        line_no = terminal_lines[t]
-        if not (1 <= t <= n):
-            raise ParseError(line_no, f"terminal {t} outside vertices 1..{n}")
-        if t == source:
-            raise ParseError(line_no, f"terminal {t} is the source")
-        if not (1 <= lvl <= k):
-            raise ParseError(line_no, f"terminal {t} level {lvl} outside 1..{k}")
-    graph = PriorityGraph(n, edges, k)
+    k, n, source = once["k"], once["nodes"], once["source"]
+    # A graph holds no vertex outside 1..n; terminals are the rule pass's.
+    outside = [
+        (("node", v), f"node {v} out of range 1..{n}")
+        for v in node_rows
+        if not 1 <= v <= n
+    ]
+    if source > n:
+        outside.append((("source", source), f"source {source} out of range 1..{n}"))
+    try:
+        graph = PriorityGraph(n, edges, k)
+    except ValueError:  # its one check a parsed file can fail: an edge end
+        outside += [
+            (("edge", eid), f"edge ({u},{v}) leaves vertices 1..{n}")
+            for eid, (u, v) in enumerate(edges)
+            if not (1 <= u <= n and 1 <= v <= n)
+        ]
+    if outside:
+        raise _first_fault(text, outside)
     if kind == "PST":
-        return PstInstance(graph, source, terminals, edge_rows)
-    for v, line_no in node_lines.items():
-        if not (1 <= v <= n):
-            raise ParseError(line_no, f"node {v} out of range")
-    zeros = tuple(0.0 for _ in range(k))
-    rows = [node_rows.get(v, zeros) for v in range(1, n + 1)]
-    return PnwstInstance(graph, source, terminals, rows)
+        inst: Instance = PstInstance(graph, source, terminals, edge_rows)
+    else:
+        zeros = (0.0,) * k
+        rows = [node_rows.get(v, zeros) for v in range(1, n + 1)]
+        inst = PnwstInstance(graph, source, terminals, rows)
+    faults = _faults(inst)
+    if faults:
+        raise _first_fault(text, faults)
+    return inst
+
+
+def _first_fault(text: str, faults: list) -> ParseError:
+    """The error for the first record, in file order, that holds a fault.
+
+    ``faults`` holds (element, message) pairs; an element's first message
+    wins.  An element is keyed by the head of its record and, for an edge,
+    its position among the edge records, else the record's first value.
+    The records are walked a second time, so a file that loads keeps no
+    table of record lines.
+    """
+    first = dict(reversed(faults))
+    eid = -1
+    for line_no, toks in _records(text):
+        head = toks[0]
+        eid += head == "edge"
+        key = (head, eid if head == "edge" else int(toks[1]))
+        if key in first:
+            return ParseError(line_no, first[key])
+    raise RuntimeError(f"no record holds {faults[0][0]}")
 
 
 def load_instance(path: str) -> Instance:
@@ -177,7 +208,7 @@ def load_instance(path: str) -> Instance:
 
 
 def _fmt(w: float) -> str:
-    return str(int(w)) if w == int(w) else repr(w)
+    return str(int(w)) if float(w).is_integer() else repr(w)
 
 
 def write_instance(inst: Instance, comment: Optional[str] = None) -> str:
@@ -201,7 +232,7 @@ def write_instance(inst: Instance, comment: Optional[str] = None) -> str:
             lines.append(f"edge {u} {v}")
         for v in range(1, g.n + 1):
             row = inst.vertex_weights[v - 1]
-            if any(w != 0 for w in row):
+            if any(row):
                 lines.append(f"node {v} " + " ".join(_fmt(w) for w in row))
     return "\n".join(lines) + "\n"
 
@@ -246,6 +277,8 @@ def parse_solution(text: str, inst: Instance) -> Solution:
     for line_no, toks in _records(text):
         if toks[0] == "rate" and len(toks) == 3:
             lvl = _int(line_no, toks[2])
+            if lvl not in range(inst.graph.k + 1):
+                raise ParseError(line_no, f"level {lvl} outside 0..{inst.graph.k}")
             if "-" in toks[1]:
                 a, _, b = toks[1].partition("-")
                 pair = canonical_edge(_int(line_no, a), _int(line_no, b))

@@ -22,6 +22,8 @@ trees.  ``_DisjointSets`` is the union-find behind every Kruskal sweep.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -106,13 +108,35 @@ class PriorityGraph:
         return count == self.n
 
 
+def _init_rows(inst, rows: Sequence, count: int, element: str) -> None:
+    """Both constructors: the shape checks that guard indexing, and an
+    empty cache of level columns."""
+    if not 1 <= inst.source <= inst.graph.n:
+        raise ValueError("source out of range")
+    if len(rows) != count:
+        raise ValueError(f"one weight row per {element} is required")
+    if any(len(row) != inst.graph.k for row in rows):
+        raise ValueError("weight rows must have one entry per level")
+    inst._columns = {}
+
+
+def _column(cache: dict, rows: Sequence, level: int, lead: list) -> list[float]:
+    """Every row's weight at one level after ``lead``, built once per level."""
+    col = cache.get(level)
+    if col is None:
+        col = cache[level] = list(lead)
+        col += map(operator.itemgetter(level - 1), rows) if level else [0.0] * len(rows)
+    return col
+
+
 @dataclass
 class PstInstance:
     """Edge-weighted instance: source, terminal priorities, per-edge tables.
 
     ``edge_weights[eid]`` is a length-k tuple; entry i-1 is the weight of the
-    edge at level i.  Tables are expected to be nondecreasing in the level
-    (checked by :func:`validate_instance`, not by the constructor).
+    edge at level i.  Weights are finite, nonnegative and nondecreasing in
+    the level; :func:`validate_instance` reports a breach and the parser
+    rejects one at load, while the constructor checks only shapes.
     """
 
     graph: PriorityGraph
@@ -123,14 +147,7 @@ class PstInstance:
     kind = "PST"
 
     def __post_init__(self) -> None:
-        if not (1 <= self.source <= self.graph.n):
-            raise ValueError("source out of range")
-        if len(self.edge_weights) != self.graph.m:
-            raise ValueError("one weight row per edge is required")
-        for row in self.edge_weights:
-            if len(row) != self.graph.k:
-                raise ValueError("weight rows must have one entry per level")
-        self._columns: dict[int, list[float]] = {}
+        _init_rows(self, self.edge_weights, self.graph.m, "edge")
 
     def weight(self, eid: int, level: int) -> float:
         if level == 0:
@@ -139,11 +156,7 @@ class PstInstance:
 
     def _level_column(self, level: int) -> list[float]:
         """Every edge's weight at one level by edge id, built once per level."""
-        col = self._columns.get(level)
-        if col is None:
-            col = [row[level - 1] if level else 0.0 for row in self.edge_weights]
-            self._columns[level] = col
-        return col
+        return _column(self._columns, self.edge_weights, level, [])
 
     def weight_of_pair(self, pair: tuple[int, int], level: int) -> float:
         eid = self.graph.edge_index.get(canonical_edge(*pair))
@@ -164,14 +177,7 @@ class PnwstInstance:
     kind = "PNWST"
 
     def __post_init__(self) -> None:
-        if not (1 <= self.source <= self.graph.n):
-            raise ValueError("source out of range")
-        if len(self.vertex_weights) != self.graph.n:
-            raise ValueError("one weight row per vertex is required")
-        for row in self.vertex_weights:
-            if len(row) != self.graph.k:
-                raise ValueError("weight rows must have one entry per level")
-        self._columns: dict[int, list[float]] = {}
+        _init_rows(self, self.vertex_weights, self.graph.n, "vertex")
 
     def weight(self, v: int, level: int) -> float:
         if level == 0:
@@ -181,13 +187,7 @@ class PnwstInstance:
     def _level_column(self, level: int) -> list[float]:
         """Every vertex's weight at one level by vertex id, built once per
         level; entry 0 is unused and 0.0."""
-        col = self._columns.get(level)
-        if col is None:
-            col = [0.0] + [
-                row[level - 1] if level else 0.0 for row in self.vertex_weights
-            ]
-            self._columns[level] = col
-        return col
+        return _column(self._columns, self.vertex_weights, level, [0.0])
 
 
 Instance = Union[PstInstance, PnwstInstance]
@@ -249,53 +249,82 @@ class VertexRateSolution:
 Solution = Union[EdgeRateSolution, VertexRateSolution]
 
 
+def _faults(inst: Instance) -> list[tuple[tuple[str, int], str]]:
+    """Every breach of the instance model, as (element, message) pairs.
+
+    The model: a simple graph; terminals are vertices other than the source
+    with levels in 1..k; every weight row satisfies 0 <= w1 <= .. <= wk <
+    inf; in the node-weighted case the source row is zero and a terminal's
+    row is zero up to its level.  An element is ``("edge", id)``,
+    ``("terminal", t)`` or ``("node", v)`` (vertex v's weight row), named
+    as the instance file's records are, so a reader of the text can point
+    at the record that holds it.  Each rule takes one cheap pass, which
+    keeps this fit to run on every load.
+    """
+    g = inst.graph
+    out = []
+    # A transient set, not edge_index: built at load, the index would be
+    # held through the solvers' searches and raise their peak memory.
+    if len(set(g.edges)) != g.m or any(u == v for u, v in g.edges):
+        for eid, (u, v) in enumerate(g.edges):
+            if u == v:
+                out.append((("edge", eid), f"self-loop at vertex {u}"))
+            if g.edge_index[(u, v)] != eid:
+                out.append((("edge", eid), f"duplicate edge ({u},{v})"))
+
+    # Chained over the level columns, one comparison per weight finds every
+    # bad row; NaN fails each comparison it takes part in.
+    pst = isinstance(inst, PstInstance)
+    rows = inst.edge_weights if pst else inst.vertex_weights
+    chain = [[0.0] * len(rows), *zip(*rows), [sys.float_info.max] * len(rows)]
+    bad: set[int] = set()
+    for lo, hi in zip(chain, chain[1:]):
+        if not all(map(operator.le, lo, hi)):
+            bad.update(i for i, ok in enumerate(map(operator.le, lo, hi)) if not ok)
+    for i in sorted(bad):
+        row = rows[i]
+        key = ("edge", i) if pst else ("node", i + 1)
+        where = "edge ({},{})".format(*g.edges[i]) if pst else f"vertex {i + 1}"
+        if not all(0.0 <= w < math.inf for w in row):
+            msg = f"negative or non-finite weight at {where}"
+            wild = [w for w in row if not math.isfinite(w)]
+            out.append((key, f"{msg}: {wild[0]!r} is not finite" if wild else msg))
+        if any(b < a for a, b in zip(row, row[1:])):
+            out.append(
+                (key, f"monotonicity at {where}: weights decrease as the level rises")
+            )
+
+    for t, lvl in inst.terminals.items():
+        key = ("terminal", t)
+        if t == inst.source:
+            out.append((key, f"terminal {t} is the source"))
+        if not 1 <= t <= g.n:
+            out.append((key, f"terminal {t} outside vertices 1..{g.n}"))
+        if not 1 <= lvl <= g.k:
+            out.append((key, f"terminal {t} level {lvl} outside 1..{g.k}"))
+        elif not pst and 1 <= t <= g.n and any(inst.vertex_weights[t - 1][:lvl]):
+            out.append((("node", t), f"terminal nonzero weight at vertex {t}"))
+    if not pst and any(inst.vertex_weights[inst.source - 1]):
+        s = inst.source
+        out.append((("node", s), f"source nonzero weight at vertex {s}"))
+    return out
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Return every violated instance assumption (empty list means ok).
 
     Violations are reported as human-readable strings naming the offending
-    element; they are data, not exceptions.
+    element; they are data, not exceptions.  These are the rules the
+    parser enforces at load, plus two it skips: a connected graph, which
+    the solvers report themselves, and strictly increasing priority values,
+    which a parsed instance has by default.
     """
     g = inst.graph
-    out: list[str] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    for (u, v) in g.edges:
-        if u == v:
-            out.append(f"self-loop at vertex {u}")
-        if (u, v) in seen_pairs:
-            out.append(f"duplicate edge ({u},{v})")
-        seen_pairs.add((u, v))
+    out = [msg for _, msg in _faults(inst)]
     if not g.is_connected():
         out.append("graph not connected")
     if any(b <= a for a, b in zip(g.priorities, g.priorities[1:])):
         out.append("priority levels not strictly increasing")
-    if inst.source in inst.terminals:
-        out.append(f"source {inst.source} listed as terminal")
-    for t, lvl in sorted(inst.terminals.items()):
-        if not (1 <= t <= g.n):
-            out.append(f"terminal {t} not a vertex")
-        if not (1 <= lvl <= g.k):
-            out.append(f"terminal {t} priority {lvl} outside 1..{g.k}")
-
-    if isinstance(inst, PstInstance):
-        for eid, row in enumerate(inst.edge_weights):
-            u, v = g.edges[eid]
-            if any(w < 0 for w in row) or any(not math.isfinite(w) for w in row):
-                out.append(f"negative or non-finite weight at edge ({u},{v})")
-            if any(b < a for a, b in zip(row, row[1:])):
-                out.append(f"monotonicity at edge ({u},{v})")
-    else:
-        for v in range(1, g.n + 1):
-            row = inst.vertex_weights[v - 1]
-            if any(w < 0 for w in row) or any(not math.isfinite(w) for w in row):
-                out.append(f"negative or non-finite weight at vertex {v}")
-            if any(b < a for a, b in zip(row, row[1:])):
-                out.append(f"monotonicity at vertex {v}")
-        for t, lvl in sorted(inst.terminals.items()):
-            if 1 <= t <= g.n and 1 <= lvl <= g.k:
-                if any(inst.vertex_weights[t - 1][i] != 0 for i in range(lvl)):
-                    out.append(f"terminal nonzero weight at vertex {t}")
-        if any(w != 0 for w in inst.vertex_weights[inst.source - 1]):
-            out.append(f"source nonzero weight at vertex {inst.source}")
     return out
 
 

@@ -23,7 +23,12 @@ DISCONNECTED_PST = (
     "terminal 2 1\nterminal 4 1\nedge 1 2 1\nedge 3 4 1\n"
 )
 
-# Files that parse as records but hold invalid values, with the line the
+DUPLICATE_EDGE = (
+    "PST 1\nk 1\nnodes 3\nsource 1\nterminal 3 1\n"
+    "edge 1 2 5\nedge 1 2 1\nedge 2 3 1\n"
+)
+
+# Files that break a record rule or hold invalid values, with the line the
 # error must name.
 INVALID_VALUES = {
     "terminal-outside": (
@@ -62,6 +67,35 @@ INVALID_VALUES = {
         "PST 1\nk 2\nnodes 3\nsource 1\nterminal 3 1\n"
         "edge 1 2 1 1\nedge 2 3 5 1\n",
         7,
+    ),
+    # Solutions are keyed by vertex pair: accepted, alg1 printed weight 6
+    # beside an attachment cost of 2, and exact died on its witness check.
+    "duplicate-edge": (DUPLICATE_EDGE, 7),
+    "self-loop": (
+        "PST 1\nk 1\nnodes 3\nsource 1\nterminal 3 1\n"
+        "edge 1 2 1\nedge 2 2 1\nedge 2 3 1\n",
+        7,
+    ),
+    "source-row-nonzero": (
+        "PNWST 1\nk 1\nnodes 3\nsource 1\nterminal 3 1\n"
+        "edge 1 2\nedge 2 3\nnode 1 4\n",
+        8,
+    ),
+    "terminal-row-nonzero": (
+        "PNWST 1\nk 2\nnodes 3\nsource 1\nterminal 3 2\n"
+        "edge 1 2\nedge 2 3\nnode 3 0 4\n",
+        8,
+    ),
+    # Record shapes: these ended in an IndexError traceback, or were
+    # accepted with the extra token or the later record winning.
+    "bare-k": ("PST 1\nk\nnodes 3\nsource 1\n", 2),
+    "bare-source": ("PST 1\nk 1\nnodes 3\nsource\n", 4),
+    "one-vertex-edge": ("PST 1\nk 1\nnodes 3\nsource 1\nedge 1\n", 5),
+    "k-with-two-values": ("PST 1\nk 1 2\nnodes 3\nsource 1\n", 2),
+    "second-source": (
+        "PST 1\nk 1\nnodes 3\nsource 1\nsource 2\nterminal 3 1\n"
+        "edge 1 2 1\nedge 2 3 1\n",
+        5,
     ),
 }
 
@@ -229,6 +263,21 @@ class TestSolve:
             assert err.startswith(f"error: line {line}: ")
 
 
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--solver", "alg1"], ["exact"]], ids=["alg1", "exact"]
+    )
+    def test_duplicate_edge_names_its_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "dup.pst"
+        path.write_text(DUPLICATE_EDGE)
+        code = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (err,) = captured.err.splitlines()
+        assert err.startswith("error: line 7: ")
+        assert "duplicate edge (1,2)" in err
+
+
 class TestExact:
     def test_prints_opt(self, capsys, single_edge_file):
         code, out = run(capsys, ["exact", single_edge_file])
@@ -289,6 +338,29 @@ class TestCheck:
         code, out = run(capsys, ["check", single_edge_file, str(sol)])
         assert code == 0
         assert out.startswith("ok")
+
+    @pytest.mark.parametrize(
+        "instance,solution",
+        [
+            ("PST 1\nk 1\nnodes 2\nsource 1\nterminal 2 1\nedge 1 2 1\n",
+             "rate 1-2 9\n"),
+            ("PNWST 1\nk 1\nnodes 2\nsource 1\nterminal 2 1\nedge 1 2\n",
+             "rate 1 1\nrate 2 5\n"),
+        ],
+        ids=["pst", "pnwst"],
+    )
+    def test_level_above_k_exit_two(self, capsys, tmp_path, instance, solution):
+        # Accepted before, then an IndexError traceback in solution_weight.
+        inst, sol = tmp_path / "inst.txt", tmp_path / "sol.txt"
+        inst.write_text(instance)
+        sol.write_text(solution)
+        code = main(["check", str(inst), str(sol)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (err,) = captured.err.splitlines()
+        assert err.startswith(f"error: line {len(solution.splitlines())}: ")
+        assert "outside 0..1" in err
 
     def test_infeasible_solution_exit_one(self, capsys, tmp_path, single_edge_file):
         sol = tmp_path / "sol.txt"

@@ -1,9 +1,10 @@
 """Structure guard: each shared kernel has exactly one implementation.
 
-The search loop, the union-find and the oracle's tree growth are each
-written once in ``src/priority_steiner``; these checks fail when a second
-copy appears, so a change to one of them has one place to go.  The package
-also holds no ``assert`` statement, so its checks survive ``python -O``.
+The search loop, the union-find, the oracle's tree growth and the instance
+rules are each written once in ``src/priority_steiner``; these checks fail
+when a second copy appears, so a change to one of them has one place to go.
+The package also holds no ``assert`` statement, so its checks survive
+``python -O``.
 """
 
 import ast
@@ -22,22 +23,41 @@ def _functions(tree):
     ]
 
 
-def _calls(fn, name):
-    """True when fn's own body, not a nested function's, calls ``name``."""
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _callees(fn):
+    """Names fn's own body, not a nested function's, calls."""
+    names = set()
     stack = list(fn.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, ast.Call):
-            callee = node.func
-            called = callee.id if isinstance(callee, ast.Name) else getattr(
-                callee, "attr", None
-            )
-            if called == name:
-                return True
+            names.add(_callee(node))
         stack.extend(ast.iter_child_nodes(node))
-    return False
+    return names
+
+
+def _calls(fn, name):
+    """True when fn's own body, not a nested function's, calls ``name``."""
+    return name in _callees(fn)
+
+
+def _reached(tree, root):
+    """The module-level functions of ``tree`` that ``root`` reaches by calls."""
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reached = {}
+    stack = [root]
+    while stack:
+        name = stack.pop()
+        if name in defs and name not in reached:
+            reached[name] = defs[name]
+            stack.extend(_callees(defs[name]))
+    return list(reached.values())
 
 
 def _modules():
@@ -89,3 +109,79 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == [], asserts
+
+
+def _parser_breaches(fn):
+    """Where fn checks a weight or a terminal itself, as 'name:line what'."""
+    out = []
+    # Names the terminal records feed into the terminals dict.
+    fed = {
+        name.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Subscript)
+        and getattr(target.value, "id", None) == "terminals"
+        for part in (target.slice, node.value)
+        for name in ast.walk(part)
+        if isinstance(name, ast.Name)
+    }
+    allowed = set()  # uses of ``terminals`` that store, test membership or hand on
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            allowed.add(id(node.value))
+        elif isinstance(node, ast.Compare) and all(
+            isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
+        ):
+            allowed.update(id(x) for x in node.comparators)
+        elif isinstance(node, ast.Call):
+            allowed.update(id(x) for x in node.args)
+    for node in ast.walk(fn):
+        where = f"{fn.name}:{getattr(node, 'lineno', '?')}"
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in ("inf", "isfinite", "isinf", "isnan"):
+            out.append(f"{where} tests finiteness")
+        if isinstance(node, ast.Constant) and str(node.value).lower() in (
+            "inf", "infinity", "nan"
+        ):
+            out.append(f"{where} builds infinity")
+        if isinstance(node, ast.Call) and _callee(node) in ("sorted", "sort"):
+            out.append(f"{where} sorts")
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(x, ast.Constant) and type(x.value) in (int, float)
+                and x.value == 0
+                for x in operands
+            ):
+                out.append(f"{where} compares against 0")
+            if not all(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops) and any(
+                getattr(x, "id", None) in fed for x in operands
+            ):
+                out.append(f"{where} checks a terminal")
+        if (
+            isinstance(node, ast.Name)
+            and node.id == "terminals"
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in allowed
+        ):
+            out.append(f"{where} reads the terminals back")
+    return out
+
+
+def test_one_instance_rule_set():
+    # The instance model (weights finite, nonnegative and nondecreasing in
+    # the level, terminals in range, and the rest) is written once, in the
+    # rule pass validate_instance runs.  The parser enforces it by reaching
+    # that same pass, and checks only what text needs itself.
+    modules = _modules()
+    instances = modules["instances.py"]
+    rule_passes = {fn.name for fn in instances.body if isinstance(fn, ast.FunctionDef)}
+    (validate,) = [
+        fn for fn in _functions(instances) if fn.name == "validate_instance"
+    ]
+    parser = _reached(modules["fileio.py"], "parse_instance")
+    shared = rule_passes & _callees(validate) & set().union(*map(_callees, parser))
+    assert shared, "parse_instance does not reach validate_instance's rule pass"
+    breaches = [b for fn in parser for b in _parser_breaches(fn)]
+    assert breaches == [], breaches
