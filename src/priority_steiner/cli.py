@@ -32,7 +32,7 @@ from .fileio import (
     parse_solution,
     write_instance,
 )
-from .generators import GeneratorSpec
+from .generators import FAMILIES, GeneratorSpec
 from .instances import (
     EdgeRateSolution,
     PnwstInstance,
@@ -256,22 +256,12 @@ def cmd_bench(args) -> int:
     rows = ["instance,solver,weight,opt,ratio,bound,time_s"]
     for size in _parse_sizes(args.sizes):
         for seed in seeds:
+            point = argparse.Namespace(**vars(args), n=size, terminals=size, seed=seed)
+            inst = _spec_from_args(point).build()
             if args.family == "tightness":
-                spec = GeneratorSpec("tightness", {"t_count": size})
                 label = f"tightness-{size}"
             else:
-                spec = GeneratorSpec(
-                    args.family,
-                    {
-                        "n": size,
-                        "density": args.density,
-                        "k": args.k,
-                        "terminal_fraction": args.terminal_fraction,
-                        "seed": seed,
-                    },
-                )
                 label = f"{args.family}-{size}-s{seed}"
-            inst = spec.build()
             opt: Optional[float] = None
             if args.exact:
                 opt = _oracle_for(inst, args.max_edges).opt_weight
@@ -311,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--solver",
         required=True,
-        choices=["alg1", "alg2", "krho", "best", "pnwst"],
+        choices=[*PST_SOLVERS, "pnwst"],
     )
     p.add_argument("--exact", action="store_true", help="also run the oracle")
     p.add_argument("--json", action="store_true")
@@ -326,10 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("gen", help="write a generated instance")
-    p.add_argument(
-        "family",
-        choices=["tightness", "random-pst", "random-pnwst", "proportional"],
-    )
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--out")
     p.add_argument("--terminals", type=int, default=3, help="tightness size")
     p.add_argument("--n", type=int, default=8)
@@ -350,10 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("bench", help="CSV sweep over a generated family")
-    p.add_argument(
-        "family",
-        choices=["tightness", "random-pst", "random-pnwst", "proportional"],
-    )
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--sizes", required=True, help="e.g. 2..8 or 4,6,8")
     p.add_argument("--seeds", default="0")
     p.add_argument("--solvers", required=True, help="comma-separated tags")

@@ -196,6 +196,15 @@ def gen_tightness_pnwst(t_count: int) -> PnwstInstance:
     return PnwstInstance(PriorityGraph(n, edges, 1), source, terminals, weights)
 
 
+# The named families, in the order the command line lists them.
+FAMILIES = {
+    "tightness": gen_tightness_pnwst,
+    "random-pst": gen_random_pst,
+    "random-pnwst": gen_random_pnwst,
+    "proportional": gen_proportional_pst,
+}
+
+
 @dataclass
 class GeneratorSpec:
     """A named family plus parameters; equal specs build equal instances."""
@@ -204,15 +213,9 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     def build(self):
-        fams = {
-            "tightness": gen_tightness_pnwst,
-            "random-pst": gen_random_pst,
-            "random-pnwst": gen_random_pnwst,
-            "proportional": gen_proportional_pst,
-        }
-        if self.family not in fams:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        return fams[self.family](**self.params)
+        return FAMILIES[self.family](**self.params)
 
     def describe(self) -> str:
         inner = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))

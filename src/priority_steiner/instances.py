@@ -10,13 +10,17 @@ Levels are stored as indices 1..k (0 means "not selected"); the optional
 ``priorities`` tuple on :class:`PriorityGraph` records the level values, but
 all algorithms compare indices only.  Weight at level 0 is always 0.
 
-Three kernels shared by the whole package live here.  ``_tree_parents``
+The kernels shared by the whole package live here.  ``_tree_parents``
 walks a rooted tree and returns its parent map (the root mapped to 0) and
 its vertices parents first, each vertex's children in ascending id order.
 ``_raise_to_subtree_max`` takes such a parents-first parent map and raises
 every vertex's value to the largest value in its subtree; it computes
-forced rates, the oracle's tree scores and the marked-set trimming of rate
-trees.  ``_DisjointSets`` is the union-find behind every Kruskal sweep.
+required levels, the oracle's tree scores and the marked-set trimming of
+rate trees.  ``_required_levels`` runs the two over a tree's edges and
+gives every reached vertex its required level, the highest terminal
+priority in its subtree; ``check_feasible``, ``forced_rates`` and the
+merge check of ``pnwst.apply_merge`` all read feasibility from it.
+``_DisjointSets`` is the union-find behind every Kruskal sweep.
 """
 
 from __future__ import annotations
@@ -365,9 +369,8 @@ def _tree_parents(
         lst.sort()
     parent = {root: 0}
     order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
+    stack = [None, root]  # popping the None ends the walk
+    for u in iter(stack.pop, None):
         for v in adj.get(u, ()):
             if v == parent[u]:
                 continue
@@ -390,6 +393,29 @@ def _raise_to_subtree_max(parent: dict[int, int], value: dict) -> None:
         p = parent[v]
         if p and value[v] > value[p]:
             value[p] = value[v]
+
+
+def _required_levels(
+    root: int, edges: Iterable[tuple[int, int]], demands: dict[int, int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Parent map of the tree ``edges`` form from root, and each reached
+    vertex's required level: the largest demand in its subtree, 0 if none.
+
+    This is the feasibility rule of both problems: an element serving a
+    terminal must carry at least its priority.  Raises ValueError when the
+    reached edges hold a cycle or a demanded vertex (the smallest such id
+    is named) is not reached; unreached edges are the caller's concern.
+    """
+    reached = _tree_parents(root, edges)
+    if reached is None:
+        raise ValueError("selected edges contain a cycle")
+    parent = reached[0]
+    missing = [t for t in demands if t not in parent]
+    if missing:
+        raise ValueError(f"terminal {min(missing)} unreachable")
+    need = {v: demands.get(v, 0) for v in parent}
+    _raise_to_subtree_max(parent, need)
+    return parent, need
 
 
 class _DisjointSets:
@@ -417,124 +443,71 @@ class _DisjointSets:
 def check_feasible(inst: Instance, sol: Solution) -> Optional[str]:
     """Return None if the solution is feasible, else the first violation.
 
-    Checks, in order: the selected elements form one tree containing the
-    source and all terminals, then for each terminal (ascending id) the rate
-    constraint along its tree path to the source.
+    Checks, in order: every selected element exists (and, node-weighted,
+    the source and every tree edge's ends are selected); the selected
+    elements form one tree containing the source and all terminals; then
+    every element's rate against its required level, the highest terminal
+    priority it serves.  A rate violation names the first such element, by
+    canonical pair for edges and by id for vertices.
     """
-    if isinstance(sol, EdgeRateSolution):
-        return _check_pst(inst, sol)
-    return _check_pnwst(inst, sol)
-
-
-def _check_pst(inst: PstInstance, sol: EdgeRateSolution) -> Optional[str]:
-    for pair in sol.rates:
-        if pair not in inst.graph.edge_index:
-            return f"unknown edge ({pair[0]},{pair[1]})"
-    reached = _tree_parents(inst.source, sol.rates)
-    if reached is None:
-        return "selected edges contain a cycle"
-    parent, _ = reached
-    for t in sorted(inst.terminals):
-        if t not in parent:
-            return f"terminal {t} unreachable"
-    touched = {u for e in sol.rates for u in e} | {inst.source}
-    if len(parent) != len(touched):
-        return "selected edges are disconnected from the source"
-    for t, need in sorted(inst.terminals.items()):
-        v = t
-        while v != inst.source:
-            p = parent[v]
-            rate = sol.rates[canonical_edge(p, v)]
-            if rate < need:
-                return (
-                    f"edge ({p},{v}) rate {rate} < required {need} "
-                    f"for terminal {t}"
-                )
-            v = p
-    return None
-
-
-def _check_pnwst(inst: PnwstInstance, sol: VertexRateSolution) -> Optional[str]:
-    for v in sol.rates:
-        if not (1 <= v <= inst.graph.n):
-            return f"unknown vertex {v}"
-    selected = set(sol.rates)
-    if inst.source not in selected:
-        return "source not selected"
-    for (u, v) in sol.edges:
-        if canonical_edge(u, v) not in inst.graph.edge_index:
+    pst = isinstance(sol, EdgeRateSolution)
+    edges = sol.rates if pst else sol.edges
+    if not pst:
+        for v in sol.rates:
+            if not (1 <= v <= inst.graph.n):
+                return f"unknown vertex {v}"
+        if inst.source not in sol.rates:
+            return "source not selected"
+    for (u, v) in edges:
+        if (u, v) not in inst.graph.edge_index:
             return f"unknown edge ({u},{v})"
-        if u not in selected or v not in selected:
+        if not pst and (u not in sol.rates or v not in sol.rates):
             return f"edge ({u},{v}) touches an unselected vertex"
-    reached = _tree_parents(inst.source, sol.edges)
-    if reached is None:
-        return "selected edges contain a cycle"
-    parent, _ = reached
-    for t in sorted(inst.terminals):
-        if t not in parent:
-            return f"terminal {t} unreachable"
-    if set(parent) != selected:
+    try:
+        parent, need = _required_levels(inst.source, edges, inst.terminals)
+    except ValueError as err:
+        return str(err)
+    # Every selected edge at a reached vertex is a tree edge, or the walk
+    # would have found a cycle, so the selection is connected exactly when
+    # the tree accounts for all of it.
+    if pst:
+        if len(parent) - 1 != len(sol.rates):
+            return "selected edges are disconnected from the source"
+        # An edge requires the level of its end away from the source.
+        required = ((canonical_edge(p, v), need[v]) for v, p in parent.items() if p)
+    elif len(parent) != len(sol.rates):
         return "selected vertices are disconnected from the source"
-    for t, need in sorted(inst.terminals.items()):
-        if sol.rates[t] < need:
-            return f"terminal {t} rate {sol.rates[t]} < required {need}"
-        v = t
-        while v != inst.source:
-            v = parent[v]
-            if sol.rates[v] < need:
-                return (
-                    f"vertex {v} rate {sol.rates[v]} < required {need} "
-                    f"for terminal {t}"
-                )
-    return None
+    else:
+        required = need.items()
+    low = [(x, level) for x, level in required if sol.rates[x] < level]
+    if not low:
+        return None
+    x, level = min(low)
+    where = "edge ({},{})".format(*x) if pst else f"vertex {x}"
+    return f"{where} rate {sol.rates[x]} < required {level}"
 
 
 def forced_rates(inst: Instance, tree_edges: Iterable[tuple[int, int]]) -> Solution:
     """Minimal feasible levels on a tree spanning the source and terminals.
 
-    Edge-weighted: an edge's level is the highest priority among terminals
-    whose source path crosses it.  Node-weighted: a vertex's level is the
-    highest priority among terminals in its subtree, the source getting the
-    top level.  Elements needed by no terminal get level 0 and are dropped,
-    so branches without terminals are pruned from the output.
+    Every element gets its required level, the highest priority among the
+    terminals it serves: an edge those whose source path crosses it, a
+    vertex those in its subtree, the source getting the top level.
+    Elements needed by no terminal get level 0 and are dropped, so branches
+    without terminals, and edges the source does not reach, are pruned from
+    the output.  Raises ValueError on repeated edges, a cycle, or a
+    terminal the tree does not reach.
     """
     edges = [canonical_edge(*e) for e in tree_edges]
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edges in tree")
-    reached = _tree_parents(inst.source, edges)
-    if reached is None:
-        raise ValueError("input edges contain a cycle")
-    parent, _ = reached
-    touched = {u for e in edges for u in e} | {inst.source}
-    if len(parent) != len(touched):
-        raise ValueError("input edges are not connected to the source")
-    missing = [t for t in sorted(inst.terminals) if t not in parent]
-    if missing:
-        raise ValueError(f"terminal {missing[0]} not spanned by the tree")
-
-    high = {v: inst.terminals.get(v, 0) for v in parent}
-    _raise_to_subtree_max(parent, high)
-
+    parent, need = _required_levels(inst.source, edges, inst.terminals)
+    served = [v for v, p in parent.items() if p and need[v]]
     if isinstance(inst, PstInstance):
-        rates = {}
-        for v in parent:
-            if v == inst.source:
-                continue
-            lvl = high[v]
-            if lvl > 0:
-                rates[canonical_edge(parent[v], v)] = lvl
-        return EdgeRateSolution(rates)
-
-    vrates = {inst.source: inst.graph.k}
-    for v in parent:
-        if v != inst.source and high[v] > 0:
-            vrates[v] = high[v]
-    kept = [
-        canonical_edge(parent[v], v)
-        for v in parent
-        if v != inst.source and v in vrates
-    ]
-    return VertexRateSolution(vrates, tuple(kept))
+        return EdgeRateSolution({canonical_edge(parent[v], v): need[v] for v in served})
+    need[inst.source] = inst.graph.k
+    kept = tuple(canonical_edge(parent[v], v) for v in served)
+    return VertexRateSolution({v: lvl for v, lvl in need.items() if lvl}, kept)
 
 
 def subdivide_to_node_weighted(

@@ -12,7 +12,8 @@ the source pays its own table at the top level), so junk branches cost
 nothing and the scan can stop as soon as all terminals are reached.  The
 lower bound adds both level-1 weights per grown vertex, the vertex's own
 only when it is neither a terminal nor the source; it prunes against the
-incumbent, which starts from a verified heuristic solution.
+best tree found so far.  The search calls no heuristic solver, so
+``enumerated`` counts the oracle's own trees only.
 
 The edge guard (``max_edges``) is the only size limit, for every k and both
 flavours.  These oracles refuse instances above it rather than approximate:
@@ -35,10 +36,11 @@ from .instances import (
     VertexRateSolution,
     _raise_to_subtree_max,
     _single_rate_instance,
-    check_feasible,
     forced_rates,
     solution_weight,
 )
+from .pnwst import _DISCONNECTED as _PNWST_DISCONNECTED
+from .pst import _DISCONNECTED as _PST_DISCONNECTED
 
 DEFAULT_MAX_EDGES = 24
 
@@ -65,22 +67,19 @@ def _exact_search(
     inst: Instance,
     edge_rows: Sequence[tuple[float, ...]],
     vertex_rows: Sequence[tuple[float, ...]],
-    warm: Optional[Solution],
+    disconnected: str,
 ) -> OracleResult:
     """The include/exclude tree growth behind both oracles.
 
     ``edge_rows[eid]`` and ``vertex_rows[v]`` are the level tables charged
     for a grown edge and for the vertex it adds; one of the two is all
-    zeros.  A warm solution, if feasible, is the starting incumbent.
+    zeros.  ``disconnected`` is the ValueError message when no tree spans
+    the terminals.
     """
     g = inst.graph
     source = inst.source
     terms = set(inst.terminals)
     best = math.inf
-    witness = None
-    if warm is not None and check_feasible(inst, warm) is None:
-        best = solution_weight(inst, warm)
-        witness = warm
 
     edge_lb = [row[0] for row in edge_rows]
     vertex_lb = [
@@ -155,10 +154,9 @@ def _exact_search(
 
     grow([e for (_, e) in g.adjacency[source]], 0.0)
 
-    if best_tree is not None:
-        witness = forced_rates(inst, best_tree)
-    if witness is None:
-        raise ValueError("no spanning tree: terminal set is disconnected")
+    if best_tree is None:
+        raise ValueError(disconnected)
+    witness = forced_rates(inst, best_tree)
     weight = solution_weight(inst, witness)
     if abs(weight - best) >= 1e-9:
         raise RuntimeError(f"witness weighs {weight}, the search scored {best}")
@@ -168,7 +166,6 @@ def _exact_search(
 def exact_pst(
     inst: PstInstance,
     max_edges: int = DEFAULT_MAX_EDGES,
-    warm_start: bool = True,
 ) -> OracleResult:
     """Exact optimum of an edge-weighted instance.
 
@@ -180,19 +177,15 @@ def exact_pst(
     g = inst.graph
     if not inst.terminals:
         return OracleResult(0.0, EdgeRateSolution({}), 0)
-    warm = None
-    if warm_start:
-        from .pst import best_of
-
-        warm = best_of(inst).solution
     zeros = (0.0,) * g.k
-    return _exact_search(inst, inst.edge_weights, [zeros] * (g.n + 1), warm)
+    return _exact_search(
+        inst, inst.edge_weights, [zeros] * (g.n + 1), _PST_DISCONNECTED
+    )
 
 
 def exact_pnwst(
     inst: PnwstInstance,
     max_edges: int = DEFAULT_MAX_EDGES,
-    warm_start: bool = True,
 ) -> OracleResult:
     """Exact optimum of a node-weighted instance.
 
@@ -204,13 +197,10 @@ def exact_pnwst(
     if not inst.terminals:
         sol = VertexRateSolution({inst.source: g.k}, ())
         return OracleResult(0.0, sol, 0)
-    warm = None
-    if warm_start:
-        from .pnwst import greedy_merge
-
-        warm = greedy_merge(inst).solution
     zeros = (0.0,) * g.k
-    return _exact_search(inst, [zeros] * g.m, [zeros, *inst.vertex_weights], warm)
+    return _exact_search(
+        inst, [zeros] * g.m, [zeros, *inst.vertex_weights], _PNWST_DISCONNECTED
+    )
 
 
 def exact_steiner(

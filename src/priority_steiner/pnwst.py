@@ -33,11 +33,13 @@ from .instances import (
     PnwstInstance,
     VertexRateSolution,
     _DisjointSets,
-    _tree_parents,
+    _required_levels,
     canonical_edge,
     forced_rates,
 )
 from .paths import PathResult, node_rate_search
+
+_DISCONNECTED = "no finite merge: terminal set is disconnected"
 
 
 @dataclass
@@ -283,7 +285,7 @@ def minimize_merge_ratio(
                     limit = _head_limit(sorted_legs, score)
 
     if best is None:
-        raise ValueError("no finite merge: terminal set is disconnected")
+        raise ValueError(_DISCONNECTED)
     score, total, h, r, v, b, sel = best
     path_rv = tuple(searches[(r, b)].path_to(v))
     paths = tuple(
@@ -366,25 +368,19 @@ def apply_merge(
 def _check_serves_terminals(
     inst: PnwstInstance, forest: RateForest, piece: TreePiece
 ) -> None:
-    # Every merged-in terminal must reach the root through vertices at or
-    # above its own priority, at the current levels.
-    reached = _tree_parents(piece.root, piece.edges)
-    if reached is None:
-        raise RuntimeError("fused tree has a cycle")
-    parent = reached[0]
+    # At the current levels, every vertex of the fused tree must carry the
+    # highest priority among the merged-in terminals it serves.
+    demands = {t: inst.terminals[t] for t in piece.merged_terminals}
+    try:
+        parent, need = _required_levels(piece.root, piece.edges, demands)
+    except ValueError as err:
+        raise RuntimeError(f"fused tree: {err}") from None
     if len(parent) != len(piece.vertices):
         raise RuntimeError("fused tree is disconnected")
-    for t in piece.merged_terminals:
-        need = inst.terminals[t]
-        v = t
-        while True:
-            if forest.rates.get(v, 0) < need:
-                raise RuntimeError(
-                    f"vertex {v} below priority {need} on the path of terminal {t}"
-                )
-            if v == piece.root:
-                break
-            v = parent[v]
+    low = [v for v in parent if forest.rates.get(v, 0) < need[v]]
+    if low:
+        v = min(low)
+        raise RuntimeError(f"vertex {v} below required level {need[v]} in fused tree")
 
 
 def greedy_merge(

@@ -166,20 +166,22 @@ def decompose_rate_spiders(
     spiders: list[RateSpider] = []
     while True:
         parent, children, depth = work.structure()
-        counts = {v: (1 if v in remaining else 0) for v in work.vertices}
-        for v in sorted(work.vertices, key=lambda x: -depth[x]):
+        verts = work.vertices
+        counts = {v: (1 if v in remaining else 0) for v in verts}
+        for v in sorted(verts, key=lambda x: -depth[x]):
             if v != work.root:
                 counts[parent[v]] += counts[v]
-        candidates = [v for v in work.vertices if counts[v] >= 2]
+        candidates = [v for v in verts if counts[v] >= 2]
         u = max(candidates, key=lambda v: (depth[v], -v))
 
         if u == work.root:
             spiders.append(
-                _cut_spider(work, u, work.root, _subtree(children, u))
+                _cut_spider(work, parent, u, work.root, _subtree(children, u))
             )
             break
 
         body = _subtree(children, u)
+        members = set(body)
         if u in remaining:
             spider_root = u
         else:
@@ -192,7 +194,7 @@ def decompose_rate_spiders(
                 )
             spider_root = min(with_rate)
 
-        rest_marked = remaining - set(body)
+        rest_marked = remaining - members
         if len(rest_marked) <= 1:
             if len(rest_marked) == 1:
                 if rest_marked != {work.root}:
@@ -205,15 +207,16 @@ def decompose_rate_spiders(
                     path.append(parent[path[-1]])
                 body = path[1:] + body
                 spider_root = work.root
-            spiders.append(_cut_spider(work, u, spider_root, body))
+            spiders.append(_cut_spider(work, parent, u, spider_root, body))
             break
 
-        spiders.append(_cut_spider(work, u, spider_root, body))
-        keep = [v for v in work.vertices if v not in set(body)]
+        spiders.append(_cut_spider(work, parent, u, spider_root, body))
+        keep = [v for v in verts if v not in members]
+        kept = set(keep)
         edges = tuple(
             canonical_edge(parent[v], v)
             for v in keep
-            if v != work.root and parent[v] in set(keep)
+            if v != work.root and parent[v] in kept
         )
         work = marked_optimize(
             RateTree(work.root, {v: work.rates[v] for v in keep}, edges),
@@ -225,10 +228,9 @@ def decompose_rate_spiders(
 
 
 def _cut_spider(
-    work: RateTree, center: int, root: int, body: list[int]
+    work: RateTree, parent: dict[int, int], center: int, root: int, body: list[int]
 ) -> RateSpider:
     members = set(body)
-    parent, _, _ = work.structure()
     edges = [
         canonical_edge(parent[v], v)
         for v in body

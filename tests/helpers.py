@@ -10,12 +10,16 @@ the same choices; its residual search prices come from
 ``reference_closure_mst`` is the library's earlier metric-closure Steiner
 approximation, one full search per terminal, against which the Voronoi
 bridge construction is held to the same MST weight.
+``reference_check_feasible`` is the library's earlier feasibility check,
+which walked each terminal's path to the source; ``check_feasible`` is held
+to its verdicts and its structural messages.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Optional
 
 from priority_steiner import (
     EdgeRateSolution,
@@ -29,6 +33,7 @@ from priority_steiner.generators import StableRng
 from priority_steiner.instances import (
     _DisjointSets,
     _single_rate_instance,
+    _tree_parents,
     canonical_edge,
 )
 from priority_steiner.paths import PathResult, edge_rate_search, node_rate_search
@@ -285,3 +290,73 @@ def reference_closure_mst(
             for x, y in zip(path, path[1:]):
                 rates[canonical_edge(x, y)] = 1
     return total, remove_cycles(inst, rates).edges
+
+
+def reference_check_feasible(inst, sol):
+    """The earlier ``check_feasible``: one path walk per terminal."""
+    if isinstance(sol, EdgeRateSolution):
+        return _check_pst(inst, sol)
+    return _check_pnwst(inst, sol)
+
+
+def _check_pst(inst: PstInstance, sol: EdgeRateSolution) -> Optional[str]:
+    for pair in sol.rates:
+        if pair not in inst.graph.edge_index:
+            return f"unknown edge ({pair[0]},{pair[1]})"
+    reached = _tree_parents(inst.source, sol.rates)
+    if reached is None:
+        return "selected edges contain a cycle"
+    parent, _ = reached
+    for t in sorted(inst.terminals):
+        if t not in parent:
+            return f"terminal {t} unreachable"
+    touched = {u for e in sol.rates for u in e} | {inst.source}
+    if len(parent) != len(touched):
+        return "selected edges are disconnected from the source"
+    for t, need in sorted(inst.terminals.items()):
+        v = t
+        while v != inst.source:
+            p = parent[v]
+            rate = sol.rates[canonical_edge(p, v)]
+            if rate < need:
+                return (
+                    f"edge ({p},{v}) rate {rate} < required {need} "
+                    f"for terminal {t}"
+                )
+            v = p
+    return None
+
+
+def _check_pnwst(inst: PnwstInstance, sol: VertexRateSolution) -> Optional[str]:
+    for v in sol.rates:
+        if not (1 <= v <= inst.graph.n):
+            return f"unknown vertex {v}"
+    selected = set(sol.rates)
+    if inst.source not in selected:
+        return "source not selected"
+    for (u, v) in sol.edges:
+        if canonical_edge(u, v) not in inst.graph.edge_index:
+            return f"unknown edge ({u},{v})"
+        if u not in selected or v not in selected:
+            return f"edge ({u},{v}) touches an unselected vertex"
+    reached = _tree_parents(inst.source, sol.edges)
+    if reached is None:
+        return "selected edges contain a cycle"
+    parent, _ = reached
+    for t in sorted(inst.terminals):
+        if t not in parent:
+            return f"terminal {t} unreachable"
+    if set(parent) != selected:
+        return "selected vertices are disconnected from the source"
+    for t, need in sorted(inst.terminals.items()):
+        if sol.rates[t] < need:
+            return f"terminal {t} rate {sol.rates[t]} < required {need}"
+        v = t
+        while v != inst.source:
+            v = parent[v]
+            if sol.rates[v] < need:
+                return (
+                    f"vertex {v} rate {sol.rates[v]} < required {need} "
+                    f"for terminal {t}"
+                )
+    return None

@@ -210,6 +210,19 @@ class TestSolve:
             "error: no finite merge: terminal set is disconnected\n"
         )
 
+    def test_disconnected_pnwst_exact_is_the_same_error_line(self, capsys, tmp_path):
+        # The oracle reports a disconnected terminal set in the flavour's
+        # own words, as the solver does.
+        path = tmp_path / "split.pnwst"
+        path.write_text(DISCONNECTED_PNWST)
+        code = main(["exact", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no finite merge: terminal set is disconnected\n"
+        )
+
     def test_disconnected_pnwst_without_asserts(self, tmp_path):
         # python -O strips assert statements; the error must not rely on one.
         path = tmp_path / "split.pnwst"

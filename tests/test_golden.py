@@ -38,9 +38,9 @@ GOLDEN = {
     "solve-pnwst":
         "6141325b9b82dcca8fec1ef989d77d581c8142c8d0d7947e1b06db0ea94fa251",
     "exact-pst":
-        "e88de64591f0035935d0e5ff3646d386424295f64f89b8c01d00f13e841b4e4d",
+        "713c3f4cfd9b34e0889d1db6f2b0ed0fe595a8a32b2ad20d61a9fe9c6481c305",
     "exact-pnwst":
-        "3b1b13b8e6a824e64b97ea115564c2e1dd5dea695cb1b503af84025e39693981",
+        "b06b3a0284238f09c37be36a896c140e4a6ccf2fae5d3a72eeec4e186d30ede8",
     "decompose":
         "20a40ad19c0cc5a1fa6787f46454fc9069ee1ca87d03552545ae07e85892b929",
 }

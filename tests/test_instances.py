@@ -1,5 +1,8 @@
+import random
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from priority_steiner import (
@@ -10,15 +13,24 @@ from priority_steiner import (
     VertexRateSolution,
     check_feasible,
     forced_rates,
+    gen_random_pnwst,
     gen_random_pst,
     gen_tightness_pnwst,
     solution_weight,
     subdivide_to_node_weighted,
     validate_instance,
 )
+from priority_steiner.instances import _tree_parents, canonical_edge
 from priority_steiner.oracle import exact_pnwst, exact_pst
+from priority_steiner.pnwst import greedy_merge
+from priority_steiner.pst import (
+    attach_by_priority,
+    attach_to_higher_priority,
+    best_of,
+    per_level_union,
+)
 
-from helpers import enum_best_assignment
+from helpers import enum_best_assignment, reference_check_feasible
 
 
 def single_edge_pst(w1=1.0, w2=3.0, level=2):
@@ -131,6 +143,140 @@ class TestCheckFeasible:
         sol = VertexRateSolution({1: 2, 2: 1, 3: 2}, ((1, 2), (2, 3)))
         msg = check_feasible(inst, sol)
         assert "vertex 2 rate 1 < required 2" in msg
+
+
+PST_SOLVERS = (attach_by_priority, attach_to_higher_priority, per_level_union, best_of)
+SHARED_MUTATIONS = [
+    "none", "lower", "raise", "drop-edge", "cycle", "detached", "unknown"
+]
+PNWST_MUTATIONS = SHARED_MUTATIONS + ["isolated", "unselect-source", "repeat-edge"]
+REFERENCE_RATE = re.compile(
+    r"(edge \(\d+,\d+\)|(vertex|terminal) \d+) rate \d+ < required \d+"
+    r"( for terminal \d+)?"
+)
+RATE = re.compile(r"(?:edge \((\d+),(\d+)\)|vertex (\d+)) rate (\d+) < required (\d+)")
+
+
+def _mutate(inst, sol, mutation, rng):
+    """A solver's solution with one kind of damage, or None if it has no
+    such variant."""
+    pst = isinstance(sol, EdgeRateSolution)
+    n, k = inst.graph.n, inst.graph.k
+    rates = dict(sol.rates)
+    edges = list(sol.rates) if pst else list(sol.edges)
+    inside = {u for e in edges for u in e} | {inst.source}
+    chosen = set(edges)
+    added = None
+    if mutation in ("lower", "raise"):
+        x = rng.choice(sorted(rates))
+        rates[x] = max(0, rates[x] - 1) if mutation == "lower" else min(k, rates[x] + 1)
+    elif mutation == "drop-edge":
+        if not edges:
+            return None
+        e = rng.choice(edges)
+        edges.remove(e)
+        rates.pop(e, None)
+    elif mutation in ("cycle", "detached"):
+        # A cycle joins two tree vertices; a detached edge touches none.
+        ends = 2 if mutation == "cycle" else 0
+        pool = [
+            e for e in inst.graph.edges
+            if e not in chosen and (e[0] in inside) + (e[1] in inside) == ends
+        ]
+        if not pool:
+            return None
+        added = rng.choice(pool)
+    elif mutation == "unknown":
+        if not pst and rng.random() < 0.5:
+            rates[n + 1] = 1
+        else:
+            absent = [
+                (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                if (u, v) not in inst.graph.edge_index
+                and (pst or (u in rates and v in rates))
+            ]
+            added = rng.choice(absent) if absent else (n, n + 1)
+    elif mutation == "isolated":
+        outside = [v for v in range(1, n + 1) if v not in rates]
+        if not outside:
+            return None
+        rates[rng.choice(outside)] = rng.randint(1, k)
+    elif mutation == "unselect-source":
+        del rates[inst.source]
+    elif mutation == "repeat-edge":
+        if not edges:
+            return None
+        edges.append(rng.choice(edges))
+    if added is not None:
+        edges.append(added)
+        if pst:
+            rates[added] = rng.randint(1, k)
+        else:
+            for v in added:
+                rates.setdefault(v, rng.randint(1, k))
+    if pst:
+        return EdgeRateSolution(rates)
+    return VertexRateSolution(rates, tuple(edges))
+
+
+def _required_by_path_walks(inst, sol):
+    """Each element's required level, found by walking every terminal's
+    path to the source; the solution must be a tree holding them all."""
+    pst = isinstance(sol, EdgeRateSolution)
+    parent, _ = _tree_parents(inst.source, list(sol.rates) if pst else sol.edges)
+    need = {}
+    for t, lvl in inst.terminals.items():
+        path = [t]
+        while path[-1] != inst.source:
+            path.append(parent[path[-1]])
+        keys = (
+            [canonical_edge(a, b) for a, b in zip(path, path[1:])] if pst else path
+        )
+        for x in keys:
+            need[x] = max(need.get(x, 0), lvl)
+    return need
+
+
+class TestFeasibilityAgreesWithReference:
+    """check_feasible against the earlier per-terminal path walks."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.one_of(
+            st.tuples(st.just("pst"), st.sampled_from(SHARED_MUTATIONS)),
+            st.tuples(st.just("pnwst"), st.sampled_from(PNWST_MUTATIONS)),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdict_and_structural_message(self, seed, k, case):
+        flavour, mutation = case
+        if flavour == "pst":
+            inst = gen_random_pst(9, 0.4, k, 0.4, seed)
+            sol = PST_SOLVERS[seed % len(PST_SOLVERS)](inst).solution
+        else:
+            inst = gen_random_pnwst(9, 0.4, k, 0.4, seed)
+            sol = greedy_merge(inst).solution
+        bad = _mutate(inst, sol, mutation, random.Random(seed))
+        assume(bad is not None)
+        got = check_feasible(inst, bad)
+        want = reference_check_feasible(inst, bad)
+        assert (got is None) == (want is None), (got, want)
+        if want is None:
+            return
+        if not REFERENCE_RATE.fullmatch(want):
+            assert got == want
+            return
+        # Rate messages name the first element, in ascending order, that
+        # sits below its required level.
+        match = RATE.fullmatch(got)
+        assert match, got
+        u, v, x, rate, level = match.groups()
+        element = (int(u), int(v)) if u else int(x)
+        need = _required_by_path_walks(inst, bad)
+        low = sorted(e for e, r in bad.rates.items() if r < need.get(e, 0))
+        assert low and element == low[0], (got, low)
+        assert (int(rate), int(level)) == (bad.rates[element], need[element])
 
 
 class TestSubdivision:

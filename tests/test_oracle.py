@@ -11,6 +11,7 @@ from priority_steiner import (
     solution_weight,
     subdivide_to_node_weighted,
 )
+from priority_steiner import pnwst, pst
 from priority_steiner.oracle import (
     InstanceTooLargeError,
     exact_pnwst,
@@ -47,13 +48,22 @@ class TestExactPst:
             exact_pst(inst)
         exact_pst(inst, max_edges=inst.graph.m)  # explicit override runs
 
-    @given(st.integers(0, 500))
-    @settings(max_examples=25, deadline=None)
-    def test_warm_start_does_not_change_the_optimum(self, seed):
-        inst = gen_random_pst(7, 0.45, 2, 0.5, seed)
-        a = exact_pst(inst, warm_start=True)
-        b = exact_pst(inst, warm_start=False)
-        assert a.opt_weight == b.opt_weight
+    def test_oracles_call_no_solver(self, monkeypatch):
+        # The oracle is the heuristics' ground truth, so its search and its
+        # enumerated count must not start from one of their answers.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the oracle called a heuristic solver")
+
+        monkeypatch.setattr(pst, "best_of", refuse)
+        monkeypatch.setattr(pnwst, "greedy_merge", refuse)
+        for seed in (0, 7, 31):
+            inst = gen_random_pst(7, 0.45, 2, 0.5, seed)
+            sub = subdivide_to_node_weighted(inst)
+            a = exact_pst(inst)
+            b = exact_pnwst(sub, max_edges=sub.graph.m)
+            assert a.opt_weight == b.opt_weight
+            assert check_feasible(inst, a.witness) is None
+            assert check_feasible(sub, b.witness) is None
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)

@@ -123,6 +123,40 @@ class TestApplyMerge:
             assert len(forest.trees) == before - cand.group_size + 1
 
 
+class TestMergeCheck:
+    """apply_merge's check that a fused tree still serves its terminals."""
+
+    def _forest(self, rates, edges):
+        g = PriorityGraph(4, [(1, 2), (2, 3), (1, 3), (3, 4)], 2)
+        inst = PnwstInstance(g, 1, {3: 2, 4: 1}, [(0.0, 0.0)] * 4)
+        piece = pnwst.TreePiece(1, {1, 2, 3, 4}, set(edges), {3, 4})
+        return inst, pnwst.RateForest({1: piece}, rates), piece
+
+    def test_served_tree_passes(self):
+        inst, forest, piece = self._forest(
+            {1: 2, 2: 2, 3: 2, 4: 1}, [(1, 2), (2, 3), (3, 4)]
+        )
+        pnwst._check_serves_terminals(inst, forest, piece)
+
+    def test_vertex_below_a_merged_priority_raises(self):
+        # Vertex 2 carries terminal 3's path at level 1 < 2.
+        inst, forest, piece = self._forest(
+            {1: 2, 2: 1, 3: 2, 4: 1}, [(1, 2), (2, 3), (3, 4)]
+        )
+        with pytest.raises(RuntimeError, match="vertex 2 below required level 2"):
+            pnwst._check_serves_terminals(inst, forest, piece)
+
+    def test_cycle_and_disconnection_raise(self):
+        inst, forest, piece = self._forest(
+            {1: 2, 2: 2, 3: 2, 4: 1}, [(1, 2), (2, 3), (1, 3), (3, 4)]
+        )
+        with pytest.raises(RuntimeError, match="cycle"):
+            pnwst._check_serves_terminals(inst, forest, piece)
+        inst, forest, piece = self._forest({1: 2, 2: 2, 3: 2, 4: 1}, [(1, 3), (3, 4)])
+        with pytest.raises(RuntimeError, match="disconnected"):
+            pnwst._check_serves_terminals(inst, forest, piece)
+
+
 class TestGreedyMerge:
     def test_single_adjacent_terminal_costs_nothing(self):
         inst = adjacent_pair()

@@ -185,3 +185,25 @@ def test_one_instance_rule_set():
     assert shared, "parse_instance does not reach validate_instance's rule pass"
     breaches = [b for fn in parser for b in _parser_breaches(fn)]
     assert breaches == [], breaches
+
+
+def test_one_required_level_pass():
+    # An element must carry the highest priority among the terminals it
+    # serves.  Feasibility, forced rates and the merge check read that level
+    # from the one bottom-up subtree-max pass; none walks each terminal's
+    # path to the root on its own.
+    modules = _modules()
+    both = ast.Module(
+        body=modules["instances.py"].body + modules["pnwst.py"].body, type_ignores=[]
+    )
+    for root in ("check_feasible", "forced_rates", "_check_serves_terminals"):
+        reached = _reached(both, root)
+        names = {fn.name for fn in reached}
+        assert "_raise_to_subtree_max" in names, (root, sorted(names))
+        loops = [
+            f"{fn.name}:{node.lineno}"
+            for fn in reached
+            for node in ast.walk(fn)
+            if isinstance(node, ast.While)
+        ]
+        assert loops == [], (root, loops)
