@@ -32,6 +32,13 @@ Rate-tree files (for the spider decomposition command)::
     root <v>
     vertex <v> <level>
     edge <u> <v>
+
+Vertex ids and levels are at least 1 (0 is the parent marker of the tree
+kernels), and ``root`` and each vertex's ``vertex`` record appear once;
+:func:`parse_rate_tree` reports a breach as a :class:`ParseError` naming
+its line.  Levels must not rise away from the root:
+:func:`~priority_steiner.spiders.marked_optimize` refuses a tree where one
+does.
 """
 
 from __future__ import annotations
@@ -319,14 +326,25 @@ def parse_rate_tree(text: str) -> RateTree:
                 raise ParseError(line_no, "expected 'RATETREE 1' header")
             header_seen = True
             continue
-        if toks[0] == "root" and len(toks) == 2:
-            root = _int(line_no, toks[1])
-        elif toks[0] == "vertex" and len(toks) == 3:
-            rates[_int(line_no, toks[1])] = _int(line_no, toks[2])
-        elif toks[0] == "edge" and len(toks) == 3:
-            edges.append((_int(line_no, toks[1]), _int(line_no, toks[2])))
+        head = toks[0]
+        if len(toks) != {"root": 2, "vertex": 3, "edge": 3}.get(head):
+            raise ParseError(line_no, f"unknown rate-tree record {head!r}")
+        nums = [_int(line_no, tok) for tok in toks[1:]]
+        ids = nums[:1] if head == "vertex" else nums
+        if min(ids) < 1:
+            raise ParseError(line_no, f"vertex id {min(ids)} below 1")
+        if head == "root":
+            if root is not None:
+                raise ParseError(line_no, "root declared twice")
+            root = nums[0]
+        elif head == "vertex":
+            if nums[1] < 1:
+                raise ParseError(line_no, f"level {nums[1]} below 1")
+            if nums[0] in rates:
+                raise ParseError(line_no, f"vertex {nums[0]} declared twice")
+            rates[nums[0]] = nums[1]
         else:
-            raise ParseError(line_no, f"unknown rate-tree record {toks[0]!r}")
+            edges.append((nums[0], nums[1]))
     if not header_seen:
         raise ParseError(1, "missing RATETREE header")
     if root is None:

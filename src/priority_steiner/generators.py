@@ -149,7 +149,7 @@ def gen_proportional_pst(
     terminal_fraction: float = 0.5,
     seed: int = 0,
 ) -> PstInstance:
-    """Edge weights proportional to the level value: w(e, p_i) = p_i * base(e).
+    """Edge weights proportional to the level: w(e, i) = i * base(e).
 
     With one level this coincides exactly with :func:`gen_random_pst`.
     """
@@ -163,7 +163,7 @@ def gen_proportional_pst(
     weights = []
     for _ in edges:
         base = rng.randint(1, WEIGHT_CAP)
-        weights.append(tuple(p * base for p in graph.priorities))
+        weights.append(tuple(float(i * base) for i in range(1, k + 1)))
     return PstInstance(graph, 1, priorities, weights)
 
 

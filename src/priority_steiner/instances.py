@@ -6,9 +6,8 @@ selected edge; every terminal must reach the source through edges whose
 level is at least the terminal's priority.  In the node-weighted problem the
 weight tables and the level assignment live on vertices instead.
 
-Levels are stored as indices 1..k (0 means "not selected"); the optional
-``priorities`` tuple on :class:`PriorityGraph` records the level values, but
-all algorithms compare indices only.  Weight at level 0 is always 0.
+Levels are indices 1..k (0 means "not selected"), and every algorithm
+compares indices only.  Weight at level 0 is always 0.
 
 The kernels shared by the whole package live here.  ``_tree_parents``
 walks a rooted tree and returns its parent map (the root mapped to 0) and
@@ -41,14 +40,12 @@ class PriorityGraph:
     """Undirected graph with ``n`` vertices (ids 1..n) and ``k`` rate levels.
 
     ``edges`` is an ordered list of vertex pairs; positions in this list are
-    the edge ids used by weight tables.  ``priorities`` holds the increasing
-    level values p_1 < ... < p_k (defaults to 1..k).
+    the edge ids used by weight tables.
     """
 
     n: int
     edges: list[tuple[int, int]]
     k: int
-    priorities: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -59,10 +56,6 @@ class PriorityGraph:
         for (u, v) in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
-        if not self.priorities:
-            self.priorities = tuple(float(i) for i in range(1, self.k + 1))
-        elif len(self.priorities) != self.k:
-            raise ValueError("one priority value per level is required")
         self._adj: Optional[list[list[tuple[int, int]]]] = None
         self._edge_index: Optional[dict[tuple[int, int], int]] = None
 
@@ -319,16 +312,13 @@ def validate_instance(inst: Instance) -> list[str]:
 
     Violations are reported as human-readable strings naming the offending
     element; they are data, not exceptions.  These are the rules the
-    parser enforces at load, plus two it skips: a connected graph, which
-    the solvers report themselves, and strictly increasing priority values,
-    which a parsed instance has by default.
+    parser enforces at load, plus the one it skips: a connected graph,
+    which the solvers report themselves.
     """
     g = inst.graph
     out = [msg for _, msg in _faults(inst)]
     if not g.is_connected():
         out.append("graph not connected")
-    if any(b <= a for a, b in zip(g.priorities, g.priorities[1:])):
-        out.append("priority levels not strictly increasing")
     return out
 
 
@@ -535,6 +525,6 @@ def subdivide_to_node_weighted(
         x = g.n + eid + 1
         new_edges.append((u, x))
         new_edges.append((x, v))
-    graph = PriorityGraph(g.n + g.m, new_edges, g.k, g.priorities)
+    graph = PriorityGraph(g.n + g.m, new_edges, g.k)
     weights = vw + [tuple(inst.edge_weights[eid]) for eid in range(g.m)]
     return PnwstInstance(graph, inst.source, dict(inst.terminals), weights)

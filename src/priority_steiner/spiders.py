@@ -11,6 +11,13 @@ root, center, or leaf role.  The marked vertices in the spiders partition M,
 which is what the per-iteration accounting of the greedy node-weighted
 solver rests on.
 
+Both run on the parents-first parent map of ``RateTree.parents``.  One
+trimming pass, ``_trim``, serves ``marked_optimize``, ``is_marked_optimized``
+(a tree is optimized when trimming leaves it unchanged) and every cut of
+the decomposition, which never rebuilds a ``RateTree`` or walks the tree
+again.  A level that rises from parent to child is refused with a
+ValueError.
+
 These structures verify the solver's guarantee; the solver itself never
 calls them.
 """
@@ -39,31 +46,23 @@ class RateTree:
         out.add(self.root)
         return out
 
-    def structure(self) -> tuple[dict[int, int], dict[int, list[int]], dict[int, int]]:
-        """(parent, children, depth); raises on cycles or disconnection.
+    def parents(self) -> dict[int, int]:
+        """Parent map, parents first, the root mapped to 0.
 
-        ``parent`` lists vertices parents first and children lists are in
-        ascending id order.
+        Children come in ascending id order.  Raises on cycles or
+        disconnection.
         """
         reached = _tree_parents(self.root, self.edges)
         if reached is None:
             raise ValueError("edges contain a cycle")
-        parent, order = reached
+        parent = reached[0]
         if len(parent) != len(self.vertices):
             raise ValueError("tree is disconnected")
-        children: dict[int, list[int]] = {v: [] for v in order}
-        depth = {self.root: 0}
-        for v in order[1:]:
-            children[parent[v]].append(v)
-            depth[v] = depth[parent[v]] + 1
-        return parent, children, depth
+        return parent
 
     def is_rate_tree(self) -> bool:
-        parent, _, _ = self.structure()
-        return all(
-            v == self.root or self.rates[parent[v]] >= self.rates[v]
-            for v in parent
-        )
+        parent = self.parents()
+        return all(not p or self.rates[p] >= self.rates[v] for v, p in parent.items())
 
 
 @dataclass(frozen=True)
@@ -97,49 +96,51 @@ class SpiderDecomposition:
     marked: frozenset[int]
 
 
+def _trim(
+    parent: dict[int, int], rates: dict[int, int], marked: set[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Marked-optimize the tree a parents-first map spans.
+
+    Keeps the vertices whose subtree holds a mark and gives each unmarked
+    one the highest marked level below it.  Returns the kept vertices'
+    parent map, still parents first, and their levels.
+    """
+    alive = {v: v in marked for v in parent}
+    _raise_to_subtree_max(parent, alive)
+    high = {v: (rates[v] if v in marked else 0) for v in parent}
+    _raise_to_subtree_max(parent, high)
+    kept = {v: p for v, p in parent.items() if alive[v]}
+    return kept, {v: (rates[v] if v in marked else high[v]) for v in kept}
+
+
 def marked_optimize(tree: RateTree, marked: set[int]) -> RateTree:
     """Prune unmarked leaves and set unmarked levels to subtree marked maxima.
 
-    The root must be marked.  Marked vertices keep their levels.  The result
-    is again a rate tree and never weighs more than the input under any
-    monotone weight table.  Applying it twice changes nothing.
+    The root must be marked and the input must be a rate tree; a level that
+    rises from parent to child raises ValueError naming the smallest-id
+    such child.  Marked vertices keep their levels.  The result is again a
+    rate tree and never weighs more than the input under any monotone
+    weight table.  Applying it twice changes nothing.
     """
-    verts = tree.vertices
     if tree.root not in marked:
         raise ValueError("root must be marked")
-    if not set(marked) <= verts:
+    if not set(marked) <= tree.vertices:
         raise ValueError("marked vertices must belong to the tree")
-    parent, _, _ = tree.structure()
-    # A vertex survives when its subtree holds a marked vertex.
-    alive = {v: v in marked for v in parent}
-    _raise_to_subtree_max(parent, alive)
-    high = {v: (tree.rates[v] if v in marked else 0) for v in parent}
-    _raise_to_subtree_max(parent, high)
-    rates = {
-        v: (tree.rates[v] if v in marked else high[v]) for v in parent if alive[v]
-    }
-    edges = tuple(canonical_edge(parent[v], v) for v in rates if v != tree.root)
+    parent = tree.parents()
+    rates = tree.rates
+    rising = [v for v, p in parent.items() if p and rates[v] > rates[p]]
+    if rising:
+        v, p = min(rising), parent[min(rising)]
+        raise ValueError(f"level rises from {rates[p]} to {rates[v]} on edge {p}-{v}")
+    parent, rates = _trim(parent, rates, marked)
+    edges = tuple(canonical_edge(p, v) for v, p in parent.items() if p)
     return RateTree(tree.root, rates, edges)
 
 
 def is_marked_optimized(tree: RateTree, marked: set[int]) -> bool:
     if tree.root not in marked or not set(marked) <= tree.vertices:
         return False
-    parent, children, _ = tree.structure()
-    if any(not children[v] and v not in marked for v in parent):
-        return False
-    high = {v: (tree.rates[v] if v in marked else 0) for v in parent}
-    _raise_to_subtree_max(parent, high)
-    return all(v in marked or tree.rates[v] == high[v] for v in parent)
-
-
-def _subtree(children: dict[int, list[int]], u: int) -> list[int]:
-    out = [u]
-    i = 0
-    while i < len(out):
-        out.extend(children[out[i]])
-        i += 1
-    return out
+    return marked_optimize(tree, marked) == tree
 
 
 def decompose_rate_spiders(
@@ -150,10 +151,11 @@ def decompose_rate_spiders(
     Repeatedly takes the deepest vertex u (ties to the smaller id) whose
     subtree holds at least two marked vertices.  If u is the root the whole
     remainder is one spider.  Otherwise the subtree at u is split off as a
-    spider centered at u, rooted at u itself when marked, else at a deepest
-    available marked vertex carrying u's level.  When only the root's mark
+    spider centered at u, rooted at u itself when marked, else at the
+    smallest-id marked vertex below u carrying u's level.  When only the root's mark
     remains afterwards, the root-to-u path joins that last spider; with two
     or more marks left the remainder is re-optimized and the hunt repeats.
+    All of it runs on the input's parent map, cut down after every spider.
     """
     marked = set(marked)
     if len(marked) < 2:
@@ -161,83 +163,53 @@ def decompose_rate_spiders(
     if not is_marked_optimized(tree, marked):
         raise ValueError("tree is not optimized for the marked set")
 
-    work = tree
-    remaining = set(marked)
+    parent = tree.parents()
+    rates = tree.rates
+    depth = {}
+    for v, p in parent.items():
+        depth[v] = depth[p] + 1 if p else 0
+    remaining = marked
     spiders: list[RateSpider] = []
     while True:
-        parent, children, depth = work.structure()
-        verts = work.vertices
-        counts = {v: (1 if v in remaining else 0) for v in verts}
-        for v in sorted(verts, key=lambda x: -depth[x]):
-            if v != work.root:
+        counts = {v: int(v in remaining) for v in parent}
+        for v in reversed(parent):
+            if parent[v]:
                 counts[parent[v]] += counts[v]
-        candidates = [v for v in verts if counts[v] >= 2]
-        u = max(candidates, key=lambda v: (depth[v], -v))
-
-        if u == work.root:
-            spiders.append(
-                _cut_spider(work, parent, u, work.root, _subtree(children, u))
-            )
-            break
-
-        body = _subtree(children, u)
-        members = set(body)
+        u = max((v for v in parent if counts[v] >= 2), key=lambda v: (depth[v], -v))
+        # The subtree at u: parents come first, so one sweep collects it.
+        members = {u}
+        body = [u]
+        for v, p in parent.items():
+            if p in members:
+                members.add(v)
+                body.append(v)
         if u in remaining:
             spider_root = u
         else:
-            with_rate = [
-                v for v in body if v in remaining and work.rates[v] == work.rates[u]
-            ]
+            with_rate = [v for v in body if v in remaining and rates[v] == rates[u]]
             if not with_rate:
                 raise RuntimeError(
-                    f"no marked vertex below {u} carries its level {work.rates[u]}"
+                    f"no marked vertex below {u} carries its level {rates[u]}"
                 )
             spider_root = min(with_rate)
 
-        rest_marked = remaining - members
-        if len(rest_marked) <= 1:
-            if len(rest_marked) == 1:
-                if rest_marked != {work.root}:
-                    raise RuntimeError(
-                        f"last marked vertex {min(rest_marked)} is not the root"
-                    )
-                # Fold the root-to-u path into this last spider.
-                path = [u]
-                while path[-1] != work.root:
-                    path.append(parent[path[-1]])
-                body = path[1:] + body
-                spider_root = work.root
-            spiders.append(_cut_spider(work, parent, u, spider_root, body))
-            break
-
-        spiders.append(_cut_spider(work, parent, u, spider_root, body))
-        keep = [v for v in verts if v not in members]
-        kept = set(keep)
-        edges = tuple(
-            canonical_edge(parent[v], v)
-            for v in keep
-            if v != work.root and parent[v] in kept
+        rest = remaining - members
+        if len(rest) == 1:
+            if rest != {tree.root}:
+                raise RuntimeError(f"last marked vertex {min(rest)} is not the root")
+            # Every leaf is marked, so all that is left beside the subtree
+            # is the root-to-u path: it joins this last spider.
+            body, spider_root = list(parent), tree.root
+        # body[0] is the spider's top vertex, and its parent lies outside.
+        edges = tuple(sorted(canonical_edge(parent[v], v) for v in body[1:]))
+        rated = {v: rates[v] for v in body}
+        spiders.append(RateSpider(spider_root, u, rated, edges))
+        if len(rest) <= 1:
+            return SpiderDecomposition(tuple(spiders), frozenset(marked))
+        parent, rates = _trim(
+            {v: p for v, p in parent.items() if v not in members}, rates, rest
         )
-        work = marked_optimize(
-            RateTree(work.root, {v: work.rates[v] for v in keep}, edges),
-            rest_marked,
-        )
-        remaining = rest_marked
-
-    return SpiderDecomposition(tuple(spiders), frozenset(marked))
-
-
-def _cut_spider(
-    work: RateTree, parent: dict[int, int], center: int, root: int, body: list[int]
-) -> RateSpider:
-    members = set(body)
-    edges = [
-        canonical_edge(parent[v], v)
-        for v in body
-        if v != work.root and parent[v] in members
-    ]
-    rates = {v: work.rates[v] for v in body}
-    return RateSpider(root, center, rates, tuple(sorted(edges)))
+        remaining = rest
 
 
 def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:

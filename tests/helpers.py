@@ -12,7 +12,10 @@ approximation, one full search per terminal, against which the Voronoi
 bridge construction is held to the same MST weight.
 ``reference_check_feasible`` is the library's earlier feasibility check,
 which walked each terminal's path to the source; ``check_feasible`` is held
-to its verdicts and its structural messages.
+to its verdicts and its structural messages.  ``reference_marked_optimize``
+and ``reference_decompose_rate_spiders`` are the library's earlier spider
+layer, which rebuilt a ``RateTree`` and its parent, children and depth maps
+after every cut; the spider layer is held to their exact output.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from priority_steiner import (
 from priority_steiner.generators import StableRng
 from priority_steiner.instances import (
     _DisjointSets,
+    _raise_to_subtree_max,
     _single_rate_instance,
     _tree_parents,
     canonical_edge,
@@ -39,7 +43,12 @@ from priority_steiner.instances import (
 from priority_steiner.paths import PathResult, edge_rate_search, node_rate_search
 from priority_steiner.pst import remove_cycles
 from priority_steiner.pnwst import MergeCandidate, RateForest, root_priority
-from priority_steiner.spiders import RateTree, marked_optimize
+from priority_steiner.spiders import (
+    RateSpider,
+    RateTree,
+    SpiderDecomposition,
+    marked_optimize,
+)
 
 
 def enum_edge_path_cost(inst: PstInstance, start: int, goal: int, level: int) -> float:
@@ -360,3 +369,172 @@ def _check_pnwst(inst: PnwstInstance, sol: VertexRateSolution) -> Optional[str]:
                     f"for terminal {t}"
                 )
     return None
+
+
+# The spider layer as it stood before it moved onto one parent map, kept
+# verbatim but for the names: ``structure`` was a ``RateTree`` method.
+
+
+def reference_structure(
+    self: RateTree,
+) -> tuple[dict[int, int], dict[int, list[int]], dict[int, int]]:
+    """(parent, children, depth); raises on cycles or disconnection.
+
+    ``parent`` lists vertices parents first and children lists are in
+    ascending id order.
+    """
+    reached = _tree_parents(self.root, self.edges)
+    if reached is None:
+        raise ValueError("edges contain a cycle")
+    parent, order = reached
+    if len(parent) != len(self.vertices):
+        raise ValueError("tree is disconnected")
+    children: dict[int, list[int]] = {v: [] for v in order}
+    depth = {self.root: 0}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+        depth[v] = depth[parent[v]] + 1
+    return parent, children, depth
+
+
+def reference_marked_optimize(tree: RateTree, marked: set[int]) -> RateTree:
+    """Prune unmarked leaves and set unmarked levels to subtree marked maxima.
+
+    The root must be marked.  Marked vertices keep their levels.  The result
+    is again a rate tree and never weighs more than the input under any
+    monotone weight table.  Applying it twice changes nothing.
+    """
+    verts = tree.vertices
+    if tree.root not in marked:
+        raise ValueError("root must be marked")
+    if not set(marked) <= verts:
+        raise ValueError("marked vertices must belong to the tree")
+    parent, _, _ = reference_structure(tree)
+    # A vertex survives when its subtree holds a marked vertex.
+    alive = {v: v in marked for v in parent}
+    _raise_to_subtree_max(parent, alive)
+    high = {v: (tree.rates[v] if v in marked else 0) for v in parent}
+    _raise_to_subtree_max(parent, high)
+    rates = {
+        v: (tree.rates[v] if v in marked else high[v]) for v in parent if alive[v]
+    }
+    edges = tuple(canonical_edge(parent[v], v) for v in rates if v != tree.root)
+    return RateTree(tree.root, rates, edges)
+
+
+def reference_is_marked_optimized(tree: RateTree, marked: set[int]) -> bool:
+    if tree.root not in marked or not set(marked) <= tree.vertices:
+        return False
+    parent, children, _ = reference_structure(tree)
+    if any(not children[v] and v not in marked for v in parent):
+        return False
+    high = {v: (tree.rates[v] if v in marked else 0) for v in parent}
+    _raise_to_subtree_max(parent, high)
+    return all(v in marked or tree.rates[v] == high[v] for v in parent)
+
+
+def _subtree(children: dict[int, list[int]], u: int) -> list[int]:
+    out = [u]
+    i = 0
+    while i < len(out):
+        out.extend(children[out[i]])
+        i += 1
+    return out
+
+
+def reference_decompose_rate_spiders(
+    tree: RateTree, marked: set[int]
+) -> SpiderDecomposition:
+    """Split a marked-optimized rate tree into disjoint rate spiders.
+
+    Repeatedly takes the deepest vertex u (ties to the smaller id) whose
+    subtree holds at least two marked vertices.  If u is the root the whole
+    remainder is one spider.  Otherwise the subtree at u is split off as a
+    spider centered at u, rooted at u itself when marked, else at a deepest
+    available marked vertex carrying u's level.  When only the root's mark
+    remains afterwards, the root-to-u path joins that last spider; with two
+    or more marks left the remainder is re-optimized and the hunt repeats.
+    """
+    marked = set(marked)
+    if len(marked) < 2:
+        raise ValueError("at least two marked vertices are required")
+    if not reference_is_marked_optimized(tree, marked):
+        raise ValueError("tree is not optimized for the marked set")
+
+    work = tree
+    remaining = set(marked)
+    spiders: list[RateSpider] = []
+    while True:
+        parent, children, depth = reference_structure(work)
+        verts = work.vertices
+        counts = {v: (1 if v in remaining else 0) for v in verts}
+        for v in sorted(verts, key=lambda x: -depth[x]):
+            if v != work.root:
+                counts[parent[v]] += counts[v]
+        candidates = [v for v in verts if counts[v] >= 2]
+        u = max(candidates, key=lambda v: (depth[v], -v))
+
+        if u == work.root:
+            spiders.append(
+                _cut_spider(work, parent, u, work.root, _subtree(children, u))
+            )
+            break
+
+        body = _subtree(children, u)
+        members = set(body)
+        if u in remaining:
+            spider_root = u
+        else:
+            with_rate = [
+                v for v in body if v in remaining and work.rates[v] == work.rates[u]
+            ]
+            if not with_rate:
+                raise RuntimeError(
+                    f"no marked vertex below {u} carries its level {work.rates[u]}"
+                )
+            spider_root = min(with_rate)
+
+        rest_marked = remaining - members
+        if len(rest_marked) <= 1:
+            if len(rest_marked) == 1:
+                if rest_marked != {work.root}:
+                    raise RuntimeError(
+                        f"last marked vertex {min(rest_marked)} is not the root"
+                    )
+                # Fold the root-to-u path into this last spider.
+                path = [u]
+                while path[-1] != work.root:
+                    path.append(parent[path[-1]])
+                body = path[1:] + body
+                spider_root = work.root
+            spiders.append(_cut_spider(work, parent, u, spider_root, body))
+            break
+
+        spiders.append(_cut_spider(work, parent, u, spider_root, body))
+        keep = [v for v in verts if v not in members]
+        kept = set(keep)
+        edges = tuple(
+            canonical_edge(parent[v], v)
+            for v in keep
+            if v != work.root and parent[v] in kept
+        )
+        work = reference_marked_optimize(
+            RateTree(work.root, {v: work.rates[v] for v in keep}, edges),
+            rest_marked,
+        )
+        remaining = rest_marked
+
+    return SpiderDecomposition(tuple(spiders), frozenset(marked))
+
+
+def _cut_spider(
+    work: RateTree, parent: dict[int, int], center: int, root: int, body: list[int]
+) -> RateSpider:
+    members = set(body)
+    edges = [
+        canonical_edge(parent[v], v)
+        for v in body
+        if v != work.root and parent[v] in members
+    ]
+    rates = {v: work.rates[v] for v in body}
+    return RateSpider(root, center, rates, tuple(sorted(edges)))

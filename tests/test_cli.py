@@ -397,7 +397,64 @@ class TestDecompose:
         assert code == 0
         assert "spider 1" in out
 
-
+    @pytest.mark.parametrize(
+        "records, marked, message",
+        [
+            # Vertex 0 is the tree kernels' parent marker.
+            (
+                "root 1\nvertex 1 2\nvertex 0 1\nvertex 2 1\nedge 1 0\nedge 1 2\n",
+                "1,0,2",
+                "line 4: vertex id 0 below 1",
+            ),
+            (
+                "root 0\nvertex 0 2\nvertex 2 1\nedge 0 2\n",
+                "0,2",
+                "line 2: vertex id 0 below 1",
+            ),
+            (
+                "root 1\nvertex 1 2\nvertex 2 1\nvertex 3 1\nedge 1 2\nedge 1 -3\n",
+                "1,2,3",
+                "line 7: vertex id -3 below 1",
+            ),
+            (
+                "root 1\nvertex 1 2\nvertex 2 -3\nvertex 3 1\nedge 1 2\nedge 1 3\n",
+                "1,2,3",
+                "line 4: level -3 below 1",
+            ),
+            (
+                "root 1\nroot 1\nvertex 1 2\nvertex 2 1\nedge 1 2\n",
+                "1,2",
+                "line 3: root declared twice",
+            ),
+            (
+                "root 1\nvertex 1 2\nvertex 2 1\nvertex 2 5\nvertex 3 1\n"
+                "edge 1 2\nedge 1 3\n",
+                "1,2,3",
+                "line 5: vertex 2 declared twice",
+            ),
+            # Levels that rise away from the root: not a rate tree.
+            (
+                "root 1\nvertex 1 1\nvertex 2 1\nvertex 3 2\nvertex 4 2\n"
+                "edge 1 2\nedge 2 3\nedge 2 4\n",
+                "1,3,4",
+                "level rises from 1 to 2 on edge 2-3",
+            ),
+            (
+                "root 1\nvertex 1 2\nvertex 2 1\nvertex 3 2\nvertex 4 3\n"
+                "edge 1 2\nedge 2 3\nedge 3 4\n",
+                "1,3,4",
+                "level rises from 1 to 2 on edge 2-3",
+            ),
+        ],
+    )
+    def test_bad_tree_exits_two(self, capsys, tmp_path, records, marked, message):
+        tree = tmp_path / "tree.rt"
+        tree.write_text("RATETREE 1\n" + records)
+        code = main(["decompose", str(tree), "--marked", marked])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 class TestBench:
     def test_tightness_ratios_match_formula(self, capsys):
         code, out = run(

@@ -11,7 +11,12 @@ from priority_steiner.spiders import (
     verify_spider,
 )
 
-from helpers import random_rate_tree
+from helpers import (
+    random_rate_tree,
+    reference_decompose_rate_spiders,
+    reference_is_marked_optimized,
+    reference_marked_optimize,
+)
 
 
 def layered_tree():
@@ -149,3 +154,74 @@ class TestVerifiers:
         bad = RateSpider(1, 1, {1: 1, 2: 2, 3: 1}, edges)
         msgs = verify_spider(bad, {1, 3})
         assert any("level increases" in m for m in msgs)
+
+
+@st.composite
+def marked_rate_trees(draw):
+    """A rate tree on shuffled ids 1..n and a marked set holding its root.
+
+    Marks are sparse, even or dense; the tree is returned raw or already
+    trimmed by the reference ``marked_optimize``.
+    """
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(1, n + 1)))
+    up = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    level = [draw(st.integers(1, k))]
+    for i in range(1, n):
+        level.append(draw(st.integers(1, level[up[i]])))
+    cut = draw(st.sampled_from([1, 5, 9]))
+    marked = {ids[0]} | {ids[i] for i in range(1, n) if draw(st.integers(0, 9)) < cut}
+    if len(marked) < 2:
+        marked.add(ids[-1])
+    rates = {ids[i]: level[i] for i in range(n)}
+    tree = RateTree(ids[0], rates, tuple((ids[up[i]], ids[i]) for i in range(1, n)))
+    if draw(st.booleans()):
+        tree = reference_marked_optimize(tree, marked)
+    return tree, marked
+
+
+class TestAgainstReference:
+    @given(marked_rate_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_same_trim_and_spiders(self, case):
+        tree, marked = case
+        optimized = reference_is_marked_optimized(tree, marked)
+        assert is_marked_optimized(tree, marked) == optimized
+        out = marked_optimize(tree, marked)
+        assert out == reference_marked_optimize(tree, marked)
+        assert decompose_rate_spiders(out, marked) == (
+            reference_decompose_rate_spiders(out, marked)
+        )
+        if not optimized:
+            with pytest.raises(ValueError, match="not optimized"):
+                decompose_rate_spiders(tree, marked)
+
+
+class TestNonRateTrees:
+    @pytest.mark.parametrize(
+        "rates, edges, message",
+        [
+            (
+                {1: 1, 2: 1, 3: 2, 4: 2},
+                ((1, 2), (2, 3), (2, 4)),
+                "level rises from 1 to 2 on edge 2-3",
+            ),
+            (
+                {1: 2, 2: 1, 3: 2, 4: 3},
+                ((1, 2), (2, 3), (3, 4)),
+                "level rises from 1 to 2 on edge 2-3",
+            ),
+            (
+                # Vertex 7 comes first parents-first; 3 is the smaller id.
+                {1: 3, 2: 1, 3: 2, 5: 1, 7: 3},
+                ((1, 2), (1, 5), (2, 3), (5, 7)),
+                "level rises from 1 to 2 on edge 2-3",
+            ),
+        ],
+    )
+    def test_rising_level_refused(self, rates, edges, message):
+        tree = RateTree(1, rates, edges)
+        assert not tree.is_rate_tree()
+        with pytest.raises(ValueError, match=message):
+            marked_optimize(tree, set(rates))

@@ -207,3 +207,29 @@ def test_one_required_level_pass():
             if isinstance(node, ast.While)
         ]
         assert loops == [], (root, loops)
+
+
+def test_one_trimming_pass():
+    # Marked trimming is written once, in _trim; the spider decomposition
+    # runs on one parent map and cuts it down after each spider, so its loop
+    # neither rebuilds a RateTree nor walks the tree again.
+    tree = _modules()["spiders.py"]
+    names = {fn.name for fn in _functions(tree)}
+    assert not names & {"structure", "_subtree", "_cut_spider"}, sorted(names)
+    raisers = sorted(
+        fn.name for fn in _functions(tree) if _calls(fn, "_raise_to_subtree_max")
+    )
+    assert raisers == ["_trim"], raisers
+    (decompose,) = [
+        fn for fn in _functions(tree) if fn.name == "decompose_rate_spiders"
+    ]
+    assert "RateTree" not in _callees(decompose)
+    in_loop = {
+        _callee(node)
+        for loop in ast.walk(decompose)
+        if isinstance(loop, (ast.While, ast.For))
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+    }
+    rewalks = in_loop & {"parents", "_tree_parents", "marked_optimize", "RateTree"}
+    assert rewalks == set(), sorted(rewalks)
