@@ -5,9 +5,11 @@
 Each terminal count |T| in ``--sizes`` gets one ``gen_random_pnwst`` graph
 with seed ``SEED`` and k=3 (|T|=40: n=150, m=600; |T|=80: n=300, m=1200;
 |T|=120: n=400, m=1600).  ``greedy_merge`` runs once per charging mode, and
-each run prints one JSON line: wall seconds, node searches run, merges and
-solution weight.  Searches are counted by wrapping ``pnwst.node_rate_search``, the
-name the solver calls.
+each run prints one JSON line: wall seconds, fresh node searches run,
+update runs (kept residual searches lowered in place), merges and solution
+weight.  Both are counted by wrapping the names the solver calls:
+``pnwst.node_rate_search`` for fresh searches and ``pnwst._dijkstra`` for
+update runs.
 """
 
 from __future__ import annotations
@@ -15,32 +17,37 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from collections import Counter
 
 from priority_steiner import gen_random_pnwst, greedy_merge, pnwst, solution_weight
 
 LADDER = {40: (150, 600), 80: (300, 1200), 120: (400, 1600)}
 SEED = 7
+COUNTED = ("node_rate_search", "_dijkstra")
 
 
 def time_run(inst, charging: str) -> dict:
-    search = pnwst.node_rate_search
-    calls = 0
+    calls = Counter()
+    wrapped = {}
+    for name in COUNTED:
+        func = wrapped[name] = getattr(pnwst, name)
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return search(*args, **kwargs)
+        def counted(*args, _name=name, _func=func, **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
 
-    pnwst.node_rate_search = counted
+        setattr(pnwst, name, counted)
     try:
         start = time.perf_counter()
         rep = greedy_merge(inst, charging=charging)
         seconds = time.perf_counter() - start
     finally:
-        pnwst.node_rate_search = search
+        for name, func in wrapped.items():
+            setattr(pnwst, name, func)
     return {
         "seconds": round(seconds, 3),
-        "searches": calls,
+        "searches": calls["node_rate_search"],
+        "updates": calls["_dijkstra"],
         "merges": len(rep.per_iteration),
         "weight": solution_weight(inst, rep.solution),
     }

@@ -236,7 +236,12 @@ def cmd_decompose(args) -> int:
 
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = parse_rate_tree(fh.read())
-    marked = {int(tok) for tok in args.marked.split(",") if tok}
+    marked = set()
+    for tok in filter(None, args.marked.split(",")):
+        try:
+            marked.add(int(tok))
+        except ValueError:
+            raise ValueError(f"--marked: {tok!r} is not a vertex id") from None
     optimized = marked_optimize(tree, marked)
     decomp = decompose_rate_spiders(optimized, marked)
     sys.stdout.write(format_decomposition(decomp))

@@ -34,9 +34,11 @@ Rate-tree files (for the spider decomposition command)::
     edge <u> <v>
 
 Vertex ids and levels are at least 1 (0 is the parent marker of the tree
-kernels), and ``root`` and each vertex's ``vertex`` record appear once;
+kernels), ``root`` and each vertex's ``vertex`` record appear once, and
+every ``edge`` end and the root need a ``vertex`` record;
 :func:`parse_rate_tree` reports a breach as a :class:`ParseError` naming
-its line.  Levels must not rise away from the root:
+its line (the ``edge`` or ``root`` line for a missing ``vertex`` record).
+Levels must not rise away from the root:
 :func:`~priority_steiner.spiders.marked_optimize` refuses a tree where one
 does.
 """
@@ -317,8 +319,10 @@ def parse_solution(text: str, inst: Instance) -> Solution:
 
 def parse_rate_tree(text: str) -> RateTree:
     root = None
+    root_line = 1
     rates: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     header_seen = False
     for line_no, toks in _records(text):
         if not header_seen:
@@ -336,7 +340,7 @@ def parse_rate_tree(text: str) -> RateTree:
         if head == "root":
             if root is not None:
                 raise ParseError(line_no, "root declared twice")
-            root = nums[0]
+            root, root_line = nums[0], line_no
         elif head == "vertex":
             if nums[1] < 1:
                 raise ParseError(line_no, f"level {nums[1]} below 1")
@@ -345,16 +349,17 @@ def parse_rate_tree(text: str) -> RateTree:
             rates[nums[0]] = nums[1]
         else:
             edges.append((nums[0], nums[1]))
+            edge_lines.append(line_no)
     if not header_seen:
         raise ParseError(1, "missing RATETREE header")
     if root is None:
         raise ParseError(1, "missing root record")
-    for (u, v) in edges:
+    for line_no, (u, v) in zip(edge_lines, edges):
         for x in (u, v):
             if x not in rates:
-                raise ParseError(1, f"vertex {x} has no declared level")
+                raise ParseError(line_no, f"vertex {x} has no declared level")
     if root not in rates:
-        raise ParseError(1, "root has no declared level")
+        raise ParseError(root_line, "root has no declared level")
     return RateTree(root, rates, tuple(edges))
 
 

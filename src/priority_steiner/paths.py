@@ -14,6 +14,14 @@ entry set to 0, which leaves the source and the endpoint x uncharged, and
 zero edge costs.  The column is the level's weights unless the caller
 passes another, such as the merge scan's residual charges.
 
+``_dijkstra`` also updates a finished search in place: given its distance
+list and the vertices whose cost fell since, it reseeds from them at their
+current distances and relaxes with the new costs.  The update ends at the
+same distances as a fresh search, bit for bit: both reach the minimum over
+all paths of the left-to-right float sum of the costs, since ``fl(a + c)``
+is monotone in ``a`` and never below it.  Parent entries it returns cover
+only the vertices it lowered, so callers that need paths search afresh.
+
 A rate restriction never disconnects anything; it only changes prices.
 Unreachable therefore means unreachable in the graph itself and is reported
 as an infinite distance, never an error.  Heap ties break on the smaller
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .instances import PnwstInstance, PstInstance
 
@@ -59,25 +67,34 @@ class PathResult:
 
 def _dijkstra(
     adj: list[list[tuple[int, int]]],
-    sources: Iterable[int],
+    sources: Sequence[int],
     vertex_cost: list[float],
     edge_cost: list[float],
     stop: Optional[Callable[[int], bool]],
+    dist: Optional[list[float]] = None,
 ) -> tuple[list[float], list[int], Optional[int]]:
     """Multi-source Dijkstra returning (dist, parent, stopped_at).
 
     Stepping from u over edge e costs ``vertex_cost[u] + edge_cost[e]``.
     When ``stop`` is given the search halts right after settling the first
     vertex satisfying it; remaining distances stay at their tentative values.
+
+    Given ``dist``, the run updates a finished search in place: ``dist``
+    holds its exact distances, ``vertex_cost`` is lower than that search's
+    costs at ``sources`` and equal elsewhere, and the sources are reseeded
+    at their current distances.  A vertex never reseeded or lowered is
+    never relaxed, so its cost entry is not read.
     """
     n = len(adj) - 1
-    dist = [math.inf] * (n + 1)
+    if dist is None:
+        dist = [math.inf] * (n + 1)
+        for s in sources:
+            dist[s] = 0.0
     parent = [0] * (n + 1)
     done = [False] * (n + 1)
     heap: list[tuple[float, int]] = []
     for s in sources:
-        dist[s] = 0.0
-        heappush(heap, (0.0, s))
+        heappush(heap, (dist[s], s))
     while heap:
         d, u = heappop(heap)
         if done[u] or d > dist[u]:

@@ -16,17 +16,19 @@ entry.  Residual candidate costs are never larger, so every per-iteration
 weight bound that holds for full charging holds here too.
 
 Path searches inside one iteration all use the rates from the start of the
-iteration, so candidate scores do not depend on evaluation order.  Under
-full charging a search depends only on its (root, level) pair, so
-``greedy_merge`` runs each one once per run and reuses it in every later
-iteration; residual searches are rerun every iteration, since their prices
-change with the rates.
+iteration, so candidate scores do not depend on evaluation order.
+``greedy_merge`` runs each (root, level) search once per run and keeps it
+for every later iteration.  Full charges never change, so a full-charging
+search is reused as it is.  A residual charge only falls, and only at the
+vertices whose level the last merge raised, so each iteration lowers the
+kept residual distances in place from those vertices; the result equals a
+fresh search bit for bit (see ``paths``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .instances import (
@@ -37,7 +39,7 @@ from .instances import (
     canonical_edge,
     forced_rates,
 )
-from .paths import PathResult, node_rate_search
+from .paths import PathResult, _dijkstra, node_rate_search
 
 _DISCONNECTED = "no finite merge: terminal set is disconnected"
 
@@ -98,6 +100,22 @@ class PnwstRunReport:
     per_iteration: tuple[IterationRecord, ...]
     solver_tag: str
     raw_weight: float
+
+
+@dataclass
+class _Searches:
+    """The (root, level) searches that one ``greedy_merge`` run keeps.
+
+    ``dist`` holds each current root's distances by (root, level).  Under
+    full charging ``trees`` keeps the searches whole, parent trees
+    included.  Under residual charging ``charges`` holds the charge
+    columns, by level, that ``dist`` is exact for; no parent trees are
+    kept, which keeps memory flat.
+    """
+
+    dist: dict[tuple[int, int], list[float]] = field(default_factory=dict)
+    trees: dict[tuple[int, int], PathResult] = field(default_factory=dict)
+    charges: list[list[float]] = field(default_factory=list)
 
 
 def root_priority(inst: PnwstInstance, root: int) -> int:
@@ -186,7 +204,7 @@ def minimize_merge_ratio(
     charging: str = "residual",
     prefer_larger_groups: bool = False,
     *,
-    _searches: Optional[dict[tuple[int, int], PathResult]] = None,
+    _searches: Optional[_Searches] = None,
 ) -> MergeCandidate:
     """Scan all (root tree, center, level) triples for the best merge.
 
@@ -208,9 +226,11 @@ def minimize_merge_ratio(
     level b, so at each center they share one row: they are visited by
     ascending (head, root), and of equal heads only the first is scored.
 
-    ``_searches`` caches full-charging searches by (root, level) across the
-    calls of one run; residual prices change every iteration, so residual
-    calls always search afresh.
+    ``_searches`` keeps the searches by (root, level) across the calls of
+    one run.  Keys of merged-away roots are dropped.  Residual distances
+    are lowered in place to this call's charges, and the winning merge's
+    paths come from fresh searches, one per root joined.  Without it every
+    search is fresh.
 
     Raises ValueError when no merge has a finite cost, which happens when
     the terminals and the source are not all in one component.
@@ -220,7 +240,7 @@ def minimize_merge_ratio(
     if charging not in ("residual", "full"):
         raise ValueError(f"unknown charging mode {charging!r}")
     residual = charging == "residual"
-    searches = {} if residual or _searches is None else _searches
+    cache = _Searches() if _searches is None else _searches
     n = inst.graph.n
     k = inst.graph.k
     roots = sorted(forest.trees)
@@ -234,13 +254,23 @@ def minimize_merge_ratio(
         paid = [charges[forest.rates.get(v, 0)][v] for v in range(n + 1)]
         charges = [[max(0.0, w - p) for w, p in zip(col, paid)] for col in charges]
 
+    for key in [key for key in cache.dist if key[0] not in level_of]:
+        del cache.dist[key]
+        cache.trees.pop(key, None)
+    if residual:
+        _lower_residual(inst, cache, charges)
+
     # One search per (root, level up to the root's priority); the search at
     # the root's own priority also provides the center-to-root leg costs,
     # since interior-priced path costs are symmetric.
+    dist = cache.dist
     for r in roots:
         for b in range(1, level_of[r] + 1):
-            if (r, b) not in searches:
-                searches[(r, b)] = node_rate_search(inst, r, b, charges[b])
+            if (r, b) not in dist:
+                found = node_rate_search(inst, r, b, charges[b])
+                dist[(r, b)] = found.dist
+                if not residual:
+                    cache.trees[(r, b)] = found
 
     best_key = None
     best = None
@@ -251,9 +281,9 @@ def minimize_merge_ratio(
         same = [r for r in elig if level_of[r] == b]
         # Per center v: the leg costs of the eligible trees, and the
         # root-to-center costs of the roots above b and at b.
-        legs_at = _by_center([searches[(r, level_of[r])].dist for r in elig], n)
-        upper_at = _by_center([searches[(r, b)].dist for r in upper], n)
-        same_at = _by_center([searches[(r, b)].dist for r in same], n)
+        legs_at = _by_center([dist[(r, level_of[r])] for r in elig], n)
+        upper_at = _by_center([dist[(r, b)] for r in upper], n)
+        same_at = _by_center([dist[(r, b)] for r in same], n)
         for v in range(1, n + 1):
             legs, ups, sames, c = legs_at[v], upper_at[v], same_at[v], charge[v]
             sorted_legs = sorted(legs)
@@ -287,11 +317,47 @@ def minimize_merge_ratio(
     if best is None:
         raise ValueError(_DISCONNECTED)
     score, total, h, r, v, b, sel = best
-    path_rv = tuple(searches[(r, b)].path_to(v))
-    paths = tuple(
-        tuple(searches[(r2, level_of[r2])].path_to(v)) for r2 in sel
-    )
+
+    def path_to_center(root: int, lvl: int) -> tuple[int, ...]:
+        # A residual search stopped at v has settled v's whole path, so its
+        # parent chain is that of the full search.
+        if residual:
+            found = node_rate_search(inst, root, lvl, charges[lvl], stop=v.__eq__)
+        else:
+            found = cache.trees[(root, lvl)]
+        return tuple(found.path_to(v))
+
+    path_rv = path_to_center(r, b)
+    paths = tuple(path_to_center(r2, level_of[r2]) for r2 in sel)
     return MergeCandidate(score, total, h, r, v, b, tuple(sel), path_rv, paths)
+
+
+def _lower_residual(
+    inst: PnwstInstance, cache: _Searches, charges: list[list[float]]
+) -> None:
+    # Bring the kept residual distances to the new charge columns.  A level
+    # whose charge rose anywhere, which only weights that fall as the level
+    # rises can cause, is searched afresh instead.  A search's own root and
+    # unreachable vertices are never reseeded: the root steps out at cost 0
+    # whatever its charge, and nothing reaches past an unreachable vertex.
+    old, cache.charges = cache.charges, charges
+    if not old:
+        return
+    adj = inst.graph.adjacency
+    zero = [0.0] * inst.graph.m
+    fell: list[Optional[list[int]]] = [None]
+    for new_col, old_col in zip(charges[1:], old[1:]):
+        pairs = list(zip(new_col, old_col))
+        rose = any(c > o for c, o in pairs)
+        fell.append(None if rose else [v for v, (c, o) in enumerate(pairs) if c < o])
+    for (r, b), dist in list(cache.dist.items()):
+        seeds = fell[b]
+        if seeds is None:
+            del cache.dist[(r, b)]
+            continue
+        seeds = [v for v in seeds if v != r and dist[v] < math.inf]
+        if seeds:
+            _dijkstra(adj, seeds, charges[b], zero, None, dist)
 
 
 def apply_merge(
@@ -396,7 +462,7 @@ def greedy_merge(
     """
     forest = init_rate_forest(inst)
     records: list[IterationRecord] = []
-    searches: dict[tuple[int, int], PathResult] = {}
+    searches = _Searches()
     while len(forest.trees) > 1:
         cand = minimize_merge_ratio(
             inst, forest, charging, prefer_larger_groups, _searches=searches

@@ -116,16 +116,18 @@ def _trim(
 def marked_optimize(tree: RateTree, marked: set[int]) -> RateTree:
     """Prune unmarked leaves and set unmarked levels to subtree marked maxima.
 
-    The root must be marked and the input must be a rate tree; a level that
-    rises from parent to child raises ValueError naming the smallest-id
-    such child.  Marked vertices keep their levels.  The result is again a
-    rate tree and never weighs more than the input under any monotone
-    weight table.  Applying it twice changes nothing.
+    The root must be marked, every marked vertex must be in the tree (else
+    ValueError names the smallest-id one that is not) and the input must be
+    a rate tree; a level that rises from parent to child raises ValueError
+    naming the smallest-id such child.  Marked vertices keep their levels.
+    The result is again a rate tree and never weighs more than the input
+    under any monotone weight table.  Applying it twice changes nothing.
     """
     if tree.root not in marked:
         raise ValueError("root must be marked")
-    if not set(marked) <= tree.vertices:
-        raise ValueError("marked vertices must belong to the tree")
+    missing = set(marked) - tree.vertices
+    if missing:
+        raise ValueError(f"marked vertex {min(missing)} does not belong to the tree")
     parent = tree.parents()
     rates = tree.rates
     rising = [v for v, p in parent.items() if p and rates[v] > rates[p]]

@@ -7,6 +7,9 @@ enumeration.  ``reference_merge_scan`` is the library's earlier unpruned
 merge scan, kept verbatim so that the pruned scan can be held to exactly
 the same choices; its residual search prices come from
 ``residual_prices`` here, not from the library's merge scan.
+``reference_greedy_merge`` is the library's earlier residual run, which
+searched every (root, level) pair afresh in every iteration; the run that
+keeps its searches and lowers them in place is held to its exact report.
 ``reference_closure_mst`` is the library's earlier metric-closure Steiner
 approximation, one full search per terminal, against which the Voronoi
 bridge construction is held to the same MST weight.
@@ -39,10 +42,19 @@ from priority_steiner.instances import (
     _single_rate_instance,
     _tree_parents,
     canonical_edge,
+    forced_rates,
 )
 from priority_steiner.paths import PathResult, edge_rate_search, node_rate_search
 from priority_steiner.pst import remove_cycles
-from priority_steiner.pnwst import MergeCandidate, RateForest, root_priority
+from priority_steiner.pnwst import (
+    IterationRecord,
+    MergeCandidate,
+    PnwstRunReport,
+    RateForest,
+    apply_merge,
+    init_rate_forest,
+    root_priority,
+)
 from priority_steiner.spiders import (
     RateSpider,
     RateTree,
@@ -251,6 +263,29 @@ def reference_merge_scan(
         tuple(searches[(r2, level_of[r2])].path_to(v)) for r2 in sel
     )
     return MergeCandidate(score, total, h, r, v, b, sel, path_rv, paths)
+
+
+def reference_greedy_merge(
+    inst: PnwstInstance, prefer_larger_groups: bool = False
+) -> PnwstRunReport:
+    """The library's residual ``greedy_merge`` with every search rerun.
+
+    Each iteration scans with ``reference_merge_scan``, which searches
+    every (root, level) pair afresh at the current rates.
+    """
+    forest = init_rate_forest(inst)
+    records: list[IterationRecord] = []
+    while len(forest.trees) > 1:
+        cand = reference_merge_scan(inst, forest, "residual", prefer_larger_groups)
+        size_before = len(forest.trees)
+        added = apply_merge(inst, forest, cand)
+        records.append(
+            IterationRecord(cand.ratio, cand.group_size, size_before, added)
+        )
+    (piece,) = forest.trees.values()
+    solution = forced_rates(inst, piece.edges)
+    raw = sum(inst.weight(v, lvl) for v, lvl in sorted(forest.rates.items()))
+    return PnwstRunReport(solution, tuple(records), "pnwst", raw)
 
 
 def random_rate_tree(n: int, k: int, seed: int) -> tuple[RateTree, set[int]]:

@@ -455,6 +455,58 @@ class TestDecompose:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            # An edge end with no vertex record: the edge's own line.
+            (
+                "root 1\nvertex 1 2\nvertex 2 1\nvertex 3 1\nedge 1 2\n"
+                "edge 2 3\nedge 3 7\n",
+                "line 8: vertex 7 has no declared level",
+            ),
+            (
+                "root 1\nvertex 1 2\nvertex 2 1\nedge 1 2\nedge 9 1\n",
+                "line 6: vertex 9 has no declared level",
+            ),
+            # A root with no vertex record: the root record's line.
+            (
+                "vertex 2 1\nvertex 3 1\nroot 1\nedge 2 3\n",
+                "line 4: root has no declared level",
+            ),
+        ],
+    )
+    def test_undeclared_vertex_names_its_line(
+        self, capsys, tmp_path, records, message
+    ):
+        tree = tmp_path / "tree.rt"
+        tree.write_text("RATETREE 1\n" + records)
+        code = main(["decompose", str(tree), "--marked", "1,2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "marked, message",
+        [
+            ("1,x", "--marked: 'x' is not a vertex id"),
+            ("1,3,2.5", "--marked: '2.5' is not a vertex id"),
+            ("1,9", "marked vertex 9 does not belong to the tree"),
+            ("1,12,3,9", "marked vertex 9 does not belong to the tree"),
+        ],
+    )
+    def test_bad_marked_list_exits_two(self, capsys, tmp_path, marked, message):
+        tree = tmp_path / "tree.rt"
+        tree.write_text(
+            "RATETREE 1\nroot 1\nvertex 1 2\nvertex 2 2\nvertex 3 1\n"
+            "edge 1 2\nedge 2 3\n"
+        )
+        code = main(["decompose", str(tree), "--marked", marked])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 class TestBench:
     def test_tightness_ratios_match_formula(self, capsys):
         code, out = run(

@@ -1,4 +1,5 @@
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from priority_steiner import (
     gen_tightness_pnwst,
     node_rate_search,
 )
+
+from priority_steiner.paths import _dijkstra
 
 from helpers import enum_edge_path_cost, enum_node_path_cost, residual_prices
 
@@ -165,3 +168,27 @@ class TestProperties:
                 inst.weight_of_pair((a, b), 2) for a, b in zip(path, path[1:])
             )
             assert cost == res.dist[v]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_update_equals_fresh_search(self, seed):
+        # Non-integer costs, so the float sums round; the update must still
+        # match a fresh search exactly.
+        rng = random.Random(seed)
+        density = rng.choice((0.1, 0.3))
+        inst = gen_random_pnwst(rng.randint(4, 30), density, 1, 0.3, seed)
+        adj, n = inst.graph.adjacency, inst.graph.n
+        edges = [rng.choice((0.0, rng.random())) for _ in range(inst.graph.m)]
+        cost = [rng.random() * 10 for _ in range(n + 1)]
+        sources = sorted(rng.sample(range(1, n + 1), rng.randint(1, 2)))
+        for s in sources:
+            cost[s] = 0.0
+        dist, _, _ = _dijkstra(adj, sources, cost, edges, None)
+        for _ in range(3):
+            fell = [v for v in range(1, n + 1) if rng.random() < 0.2]
+            fell = [v for v in fell if v not in sources]
+            for v in fell:
+                cost[v] = rng.choice((0.0, cost[v] * rng.random()))
+            seeds = [v for v in fell if dist[v] < math.inf]
+            _dijkstra(adj, seeds, cost, edges, None, dist)
+            assert dist == _dijkstra(adj, sources, cost, edges, None)[0]

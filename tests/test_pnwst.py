@@ -15,6 +15,7 @@ from priority_steiner import (
     greedy_merge,
     init_rate_forest,
     minimize_merge_ratio,
+    node_rate_search,
     solution_weight,
 )
 from priority_steiner import pnwst
@@ -22,7 +23,12 @@ from priority_steiner.instances import _tree_parents
 from priority_steiner.oracle import exact_pnwst
 from priority_steiner.pnwst import root_priority
 
-from helpers import enum_min_merge_ratio, reference_merge_scan
+from helpers import (
+    enum_min_merge_ratio,
+    reference_greedy_merge,
+    reference_merge_scan,
+    residual_prices,
+)
 
 
 def harmonic(n: int) -> float:
@@ -283,25 +289,22 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_residual_charging_searches_every_iteration(self, monkeypatch, seed):
+        # Each (root, level) pair is searched once and then lowered in
+        # place; every iteration searches afresh only for the winner's
+        # paths, one search per tree joined.
         inst = gen_random_pnwst(14, 0.3, 3, 0.5, seed)
         search = pnwst.node_rate_search
-        scan = pnwst.minimize_merge_ratio
         calls = [0]
-        expect = [0]
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return search(*args, **kwargs)
 
-        def scan_counted(inst, forest, *args, **kwargs):
-            expect[0] += sum(root_priority(inst, r) for r in forest.trees)
-            return scan(inst, forest, *args, **kwargs)
-
         monkeypatch.setattr(pnwst, "node_rate_search", counted)
-        monkeypatch.setattr(pnwst, "minimize_merge_ratio", scan_counted)
         rep = greedy_merge(inst)
         assert len(rep.per_iteration) > 1
-        assert calls[0] == expect[0]
+        pairs = sum(root_priority(inst, r) for r in init_rate_forest(inst).trees)
+        assert calls[0] == pairs + sum(r.merged for r in rep.per_iteration)
 
     def test_disconnected_terminals_raise_value_error(self):
         g = PriorityGraph(4, [(1, 2), (3, 4)], 1)
@@ -312,3 +315,47 @@ class TestPrunedScan:
             minimize_merge_ratio(inst, forest)
         with pytest.raises(ValueError, match="disconnected"):
             greedy_merge(inst, charging="full")
+
+
+def _kept_cases():
+    for k in range(1, 5):
+        for seed in range(4):
+            density = (0.25, 0.4, 0.6)[seed % 3]
+            yield gen_random_pnwst(12 + 4 * seed, density, k, 0.5, 97 * k + seed)
+    for t in (3, 5, 8):
+        yield gen_tightness_pnwst(t)
+    # Vertex 4 weighs less at level 2 than at level 1.  The first merge
+    # raises it to 1 and the second to 2, which raises its level-1 charge
+    # from 0 to 1 for the two merges left, so level 1 is searched afresh.
+    edges = [(2, 4), (3, 4), (1, 5), (5, 4), (6, 7), (7, 1), (8, 9), (9, 4)]
+    rows = [(0.0, 0.0)] * 3 + [(2.0, 1.0), (5.0, 5.0), (0.0, 0.0), (50.0, 50.0)]
+    rows += [(0.0, 0.0), (4.0, 3.0)]
+    g = PriorityGraph(9, edges, 2)
+    yield PnwstInstance(g, 1, {2: 1, 3: 1, 6: 1, 8: 2}, rows)
+
+
+class TestKeptResidualSearches:
+    @pytest.mark.parametrize("prefer", [False, True])
+    def test_kept_distances_equal_fresh_searches(self, monkeypatch, prefer):
+        scan = pnwst.minimize_merge_ratio
+        checked = [0]
+
+        def fresh_checked(inst, forest, *args, _searches, **kwargs):
+            cand = scan(inst, forest, *args, _searches=_searches, **kwargs)
+            pairs = {
+                (r, b)
+                for r in forest.trees
+                for b in range(1, root_priority(inst, r) + 1)
+            }
+            assert set(_searches.dist) == pairs
+            for (r, b), dist in _searches.dist.items():
+                prices = residual_prices(inst, b, forest.rates)
+                assert dist == node_rate_search(inst, r, b, prices).dist
+                checked[0] += 1
+            return cand
+
+        monkeypatch.setattr(pnwst, "minimize_merge_ratio", fresh_checked)
+        for inst in _kept_cases():
+            rep = greedy_merge(inst, "residual", prefer)
+            assert rep == reference_greedy_merge(inst, prefer)
+        assert checked[0] > 300
