@@ -6,8 +6,8 @@ Each terminal count |T| in ``--sizes`` gets one ``gen_random_pnwst`` graph
 with seed ``SEED`` and k=3 (|T|=40: n=150, m=600; |T|=80: n=300, m=1200;
 |T|=120: n=400, m=1600).  ``greedy_merge`` runs once per charging mode, and
 each run prints one JSON line: wall seconds, fresh node searches run,
-update runs (kept residual searches lowered in place), merges and solution
-weight.  Both are counted by wrapping the names the solver calls:
+update runs (kept searches lowered in place where a charge fell), merges
+and solution weight.  Both are counted by wrapping the names the solver calls:
 ``pnwst.node_rate_search`` for fresh searches and ``pnwst._dijkstra`` for
 update runs.
 """

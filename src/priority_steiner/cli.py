@@ -11,8 +11,8 @@ solution, JSON numbers carry 12 significant digits, and wall-clock timing
 goes to stderr so repeated runs emit identical bytes on stdout.
 
 Exit codes: 0 success/feasible, 1 infeasible solution, 2 usage or parse
-error (invalid instance values included) or a disconnected terminal set,
-3 oracle size guard.
+error (invalid instance values included), a disconnected terminal set or
+a path that cannot be read or written, 3 oracle size guard.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 from .fileio import (
     format_decomposition,
@@ -236,30 +236,40 @@ def cmd_decompose(args) -> int:
 
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = parse_rate_tree(fh.read())
-    marked = set()
-    for tok in filter(None, args.marked.split(",")):
-        try:
-            marked.add(int(tok))
-        except ValueError:
-            raise ValueError(f"--marked: {tok!r} is not a vertex id") from None
+    marked = set(_ints("--marked", filter(None, args.marked.split(",")), "a vertex id"))
     optimized = marked_optimize(tree, marked)
     decomp = decompose_rate_spiders(optimized, marked)
     sys.stdout.write(format_decomposition(decomp))
     return 0
 
 
+def _ints(option: str, tokens: Iterable[str], what: str = "an integer") -> list[int]:
+    # A token that is not an int is a usage error naming it.
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{option}: {tok!r} is not {what}") from None
+    return out
+
+
 def _parse_sizes(spec: str) -> list[int]:
     if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok]
+        lo, hi = _ints("--sizes", spec.split("..", 1))
+        return list(range(lo, hi + 1))
+    return _ints("--sizes", filter(None, spec.split(",")))
 
 
 def cmd_bench(args) -> int:
     solvers = [tok for tok in args.solvers.split(",") if tok]
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok]
+    for tag in solvers:
+        if tag not in PST_SOLVERS and tag != "pnwst":
+            raise ValueError(f"--solvers: unknown solver {tag!r}")
+    seeds = _ints("--seeds", filter(None, args.seeds.split(",")))
+    sizes = _parse_sizes(args.sizes)
     rows = ["instance,solver,weight,opt,ratio,bound,time_s"]
-    for size in _parse_sizes(args.sizes):
+    for size in sizes:
         for seed in seeds:
             point = argparse.Namespace(**vars(args), n=size, terminals=size, seed=seed)
             inst = _spec_from_args(point).build()
@@ -373,8 +383,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
-        # ParseError and InstanceTooLargeError are ValueErrors too.
+    except (OSError, ValueError) as exc:
+        # ParseError and InstanceTooLargeError are ValueErrors too; an
+        # unreadable or unwritable path is an OSError.
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InstanceTooLargeError) else 2
 

@@ -87,23 +87,6 @@ class PriorityGraph:
             self._edge_index = idx
         return self._edge_index
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = [False] * (self.n + 1)
-        stack = [1]
-        seen[1] = True
-        count = 1
-        adj = self.adjacency
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self.n
-
 
 def _init_rows(inst, rows: Sequence, count: int, element: str) -> None:
     """Both constructors: the shape checks that guard indexing, and an
@@ -317,7 +300,8 @@ def validate_instance(inst: Instance) -> list[str]:
     """
     g = inst.graph
     out = [msg for _, msg in _faults(inst)]
-    if not g.is_connected():
+    ds = _DisjointSets(g.n)
+    if sum(ds.union(u, v) for u, v in g.edges) < g.n - 1:
         out.append("graph not connected")
     return out
 

@@ -16,13 +16,15 @@ entry.  Residual candidate costs are never larger, so every per-iteration
 weight bound that holds for full charging holds here too.
 
 Path searches inside one iteration all use the rates from the start of the
-iteration, so candidate scores do not depend on evaluation order.
-``greedy_merge`` runs each (root, level) search once per run and keeps it
-for every later iteration.  Full charges never change, so a full-charging
-search is reused as it is.  A residual charge only falls, and only at the
-vertices whose level the last merge raised, so each iteration lowers the
-kept residual distances in place from those vertices; the result equals a
-fresh search bit for bit (see ``paths``).
+iteration, so candidate scores do not depend on evaluation order.  The
+charging mode only sets the charge columns; scanning and path recovery are
+the same code for both.  ``greedy_merge`` runs each (root, level) search
+once per run and keeps its distances for every later iteration.  A charge
+only falls, and only at the vertices whose level the last merge raised, so
+each iteration lowers the kept distances in place from those vertices; the
+result equals a fresh search bit for bit (see ``paths``).  Full charges
+never fall, so their kept distances are never touched.  The winning
+merge's paths come from searches stopped at its center.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .instances import (
     canonical_edge,
     forced_rates,
 )
-from .paths import PathResult, _dijkstra, node_rate_search
+from .paths import _dijkstra, node_rate_search
 
 _DISCONNECTED = "no finite merge: terminal set is disconnected"
 
@@ -60,7 +62,6 @@ class RateForest:
 
     trees: dict[int, TreePiece]
     rates: dict[int, int]
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,12 @@ class PnwstRunReport:
 class _Searches:
     """The (root, level) searches that one ``greedy_merge`` run keeps.
 
-    ``dist`` holds each current root's distances by (root, level).  Under
-    full charging ``trees`` keeps the searches whole, parent trees
-    included.  Under residual charging ``charges`` holds the charge
-    columns, by level, that ``dist`` is exact for; no parent trees are
-    kept, which keeps memory flat.
+    ``dist`` holds each current root's distances by (root, level), and
+    ``charges`` the charge columns, by level, that ``dist`` is exact for.
+    No parent trees are kept, which keeps memory flat.
     """
 
     dist: dict[tuple[int, int], list[float]] = field(default_factory=dict)
-    trees: dict[tuple[int, int], PathResult] = field(default_factory=dict)
     charges: list[list[float]] = field(default_factory=list)
 
 
@@ -227,10 +225,10 @@ def minimize_merge_ratio(
     ascending (head, root), and of equal heads only the first is scored.
 
     ``_searches`` keeps the searches by (root, level) across the calls of
-    one run.  Keys of merged-away roots are dropped.  Residual distances
-    are lowered in place to this call's charges, and the winning merge's
-    paths come from fresh searches, one per root joined.  Without it every
-    search is fresh.
+    one run.  Keys of merged-away roots are dropped, and kept distances
+    are lowered in place to this call's charges.  Without it every search
+    is fresh.  Under either charging mode the winning merge's paths come
+    from searches stopped at its center, one per root joined.
 
     Raises ValueError when no merge has a finite cost, which happens when
     the terminals and the source are not all in one component.
@@ -239,7 +237,6 @@ def minimize_merge_ratio(
         raise ValueError("merging needs at least two trees")
     if charging not in ("residual", "full"):
         raise ValueError(f"unknown charging mode {charging!r}")
-    residual = charging == "residual"
     cache = _Searches() if _searches is None else _searches
     n = inst.graph.n
     k = inst.graph.k
@@ -250,15 +247,13 @@ def minimize_merge_ratio(
     # its weight there, less the weight at its paid level when charging
     # residually.
     charges = [inst._level_column(b) for b in range(k + 1)]
-    if residual:
+    if charging == "residual":
         paid = [charges[forest.rates.get(v, 0)][v] for v in range(n + 1)]
         charges = [[max(0.0, w - p) for w, p in zip(col, paid)] for col in charges]
 
     for key in [key for key in cache.dist if key[0] not in level_of]:
         del cache.dist[key]
-        cache.trees.pop(key, None)
-    if residual:
-        _lower_residual(inst, cache, charges)
+    _lower_residual(inst, cache, charges)
 
     # One search per (root, level up to the root's priority); the search at
     # the root's own priority also provides the center-to-root leg costs,
@@ -267,10 +262,7 @@ def minimize_merge_ratio(
     for r in roots:
         for b in range(1, level_of[r] + 1):
             if (r, b) not in dist:
-                found = node_rate_search(inst, r, b, charges[b])
-                dist[(r, b)] = found.dist
-                if not residual:
-                    cache.trees[(r, b)] = found
+                dist[(r, b)] = node_rate_search(inst, r, b, charges[b]).dist
 
     best_key = None
     best = None
@@ -319,12 +311,9 @@ def minimize_merge_ratio(
     score, total, h, r, v, b, sel = best
 
     def path_to_center(root: int, lvl: int) -> tuple[int, ...]:
-        # A residual search stopped at v has settled v's whole path, so its
-        # parent chain is that of the full search.
-        if residual:
-            found = node_rate_search(inst, root, lvl, charges[lvl], stop=v.__eq__)
-        else:
-            found = cache.trees[(root, lvl)]
+        # A search stopped at v has settled v's whole path, so its parent
+        # chain is that of the full search.
+        found = node_rate_search(inst, root, lvl, charges[lvl], stop=v.__eq__)
         return tuple(found.path_to(v))
 
     path_rv = path_to_center(r, b)
@@ -335,8 +324,9 @@ def minimize_merge_ratio(
 def _lower_residual(
     inst: PnwstInstance, cache: _Searches, charges: list[list[float]]
 ) -> None:
-    # Bring the kept residual distances to the new charge columns.  A level
-    # whose charge rose anywhere, which only weights that fall as the level
+    # Bring the kept distances to the new charge columns; full charges never
+    # change, so under full charging nothing is lowered.  A level whose
+    # charge rose anywhere, which only weights that fall as the level
     # rises can cause, is searched afresh instead.  A search's own root and
     # unreachable vertices are never reseeded: the root steps out at cost 0
     # whatever its charge, and nothing reaches past an unreachable vertex.
@@ -372,42 +362,32 @@ def apply_merge(
     lower endpoint level, pre-existing edges winning ties), which preserves
     every member terminal's rate-feasible path to the new root.
     """
-    rates = forest.rates
-    added = 0.0
-
-    def raise_to(u: int, lvl: int) -> None:
-        nonlocal added
-        old = rates.get(u, 0)
-        if lvl > old:
-            added += inst.weight(u, lvl) - inst.weight(u, old)
-            rates[u] = lvl
-
-    for u in cand.path_root_to_center:
-        raise_to(u, cand.level)
-    raise_to(cand.center, cand.level)
-    for r2, path in zip(cand.selected, cand.paths_center_to_roots):
-        lvl = root_priority(inst, r2)
-        for u in path:
-            raise_to(u, lvl)
-
-    pieces = [forest.trees[cand.root]] + [forest.trees[r] for r in cand.selected]
+    pieces = [forest.trees.pop(r) for r in (cand.root, *cand.selected)]
     vertices = set()
     old_edges: set[tuple[int, int]] = set()
+    merged_terms = set()
     for piece in pieces:
         vertices |= piece.vertices
         old_edges |= piece.edges
+        merged_terms |= piece.merged_terminals
     new_edges: set[tuple[int, int]] = set()
-
-    def add_path(path: tuple[int, ...]) -> None:
+    rates = forest.rates
+    added = 0.0
+    legs = [(cand.path_root_to_center, cand.level)] + [
+        (path, root_priority(inst, r2))
+        for r2, path in zip(cand.selected, cand.paths_center_to_roots)
+    ]
+    for path, lvl in legs:
+        for u in path:
+            old = rates.get(u, 0)
+            if lvl > old:
+                added += inst.weight(u, lvl) - inst.weight(u, old)
+                rates[u] = lvl
         vertices.update(path)
         for a, c in zip(path, path[1:]):
             e = canonical_edge(a, c)
             if e not in old_edges:
                 new_edges.add(e)
-
-    add_path(cand.path_root_to_center)
-    for path in cand.paths_center_to_roots:
-        add_path(path)
 
     ranked = sorted(
         (-min(rates.get(u, 0), rates.get(w, 0)), is_new, (u, w))
@@ -417,16 +397,8 @@ def apply_merge(
     ds = _DisjointSets(inst.graph.n)
     kept = {pair for _, _, pair in ranked if ds.union(*pair)}
 
-    merged_terms = set()
-    for piece in pieces:
-        merged_terms |= piece.merged_terminals
     fused = TreePiece(cand.root, vertices, kept, merged_terms)
-    for r2 in cand.selected:
-        del forest.trees[r2]
-    if cand.root in forest.trees:
-        del forest.trees[cand.root]
     forest.trees[cand.root] = fused
-    forest.iteration += 1
     _check_serves_terminals(inst, forest, fused)
     return added
 

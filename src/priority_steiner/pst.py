@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .instances import (
     EdgeRateSolution,
@@ -106,18 +106,31 @@ def attach_by_priority(inst: PstInstance) -> PstRunReport:
     costs: dict[int, float] = {}
     order = tuple(sorted(inst.terminals, key=lambda t: (-inst.terminals[t], t)))
     for t in order:
-        lvl = inst.terminals[t]
-        res = edge_rate_search(inst, [t], lvl, stop=reached.__contains__)
-        if res.stopped_at is None:
-            raise ValueError(_DISCONNECTED)
-        costs[t] = res.dist[res.stopped_at]
-        path = res.path_to(res.stopped_at)
-        for a, b in zip(path, path[1:]):
-            e = canonical_edge(a, b)
-            if rates.get(e, 0) < lvl:
-                rates[e] = lvl
+        _, costs[t], path = _attach(inst, t, reached.__contains__)
+        _raise_edges(rates, map(canonical_edge, path, path[1:]), inst.terminals[t])
         reached.update(path)
     return PstRunReport(remove_cycles(inst, rates), costs, order, "alg1")
+
+
+def _attach(
+    inst: PstInstance, t: int, stop: Callable[[int], bool]
+) -> tuple[int, float, list[int]]:
+    # The cheapest path at t's level from t to the first vertex satisfying
+    # stop, as (that vertex, path cost, path from t).
+    res = edge_rate_search(inst, [t], inst.terminals[t], stop=stop)
+    u = res.stopped_at
+    if u is None:
+        raise ValueError(_DISCONNECTED)
+    return u, res.dist[u], res.path_to(u)
+
+
+def _raise_edges(
+    rates: dict[tuple[int, int], int], pairs: Iterable[tuple[int, int]], lvl: int
+) -> None:
+    # Edge levels combine by max, so the order of raises does not matter.
+    for pair in pairs:
+        if rates.get(pair, 0) < lvl:
+            rates[pair] = lvl
 
 
 def _effective_priorities(inst: PstInstance) -> dict[int, tuple[int, int]]:
@@ -125,19 +138,6 @@ def _effective_priorities(inst: PstInstance) -> dict[int, tuple[int, int]]:
     eff = {t: (lvl, t) for t, lvl in inst.terminals.items()}
     eff[inst.source] = (inst.graph.k + 1, 0)
     return eff
-
-
-def _attach_one(
-    inst: PstInstance, eff: dict[int, tuple[int, int]], t: int
-) -> tuple[int, float, list[int]]:
-    lvl = inst.terminals[t]
-    mine = eff[t]
-    res = edge_rate_search(
-        inst, [t], lvl, stop=lambda u: u in eff and eff[u] > mine
-    )
-    if res.stopped_at is None:
-        raise ValueError(_DISCONNECTED)
-    return res.stopped_at, res.dist[res.stopped_at], res.path_to(res.stopped_at)
 
 
 def attach_to_higher_priority(inst: PstInstance, workers: int = 1) -> PstRunReport:
@@ -150,23 +150,24 @@ def attach_to_higher_priority(inst: PstInstance, workers: int = 1) -> PstRunRepo
     """
     terms = sorted(inst.terminals)
     eff = _effective_priorities(inst)
+
+    def attach(t: int) -> tuple[int, float, list[int]]:
+        mine = eff[t]
+        return _attach(inst, t, lambda u: u in eff and eff[u] > mine)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(lambda t: _attach_one(inst, eff, t), terms))
+            found = list(pool.map(attach, terms))
     else:
-        found = [_attach_one(inst, eff, t) for t in terms]
+        found = [attach(t) for t in terms]
 
     rates: dict[tuple[int, int], int] = {}
     costs: dict[int, float] = {}
     parents = []
     for t, (parent, cost, path) in zip(terms, found):
-        lvl = inst.terminals[t]
         costs[t] = cost
         parents.append((t, parent))
-        for a, b in zip(path, path[1:]):
-            e = canonical_edge(a, b)
-            if rates.get(e, 0) < lvl:
-                rates[e] = lvl
+        _raise_edges(rates, map(canonical_edge, path, path[1:]), inst.terminals[t])
     return PstRunReport(remove_cycles(inst, rates), costs, tuple(parents), "alg2")
 
 
@@ -270,9 +271,7 @@ def per_level_union(inst: PstInstance) -> PstRunReport:
         group = {t for t, l in inst.terminals.items() if l == lvl}
         if not group:
             continue
-        for pair in _voronoi_tree(inst, group | {inst.source}, lvl):
-            if rates.get(pair, 0) < lvl:
-                rates[pair] = lvl
+        _raise_edges(rates, _voronoi_tree(inst, group | {inst.source}, lvl), lvl)
     return PstRunReport(remove_cycles(inst, rates), {}, (), "krho")
 
 

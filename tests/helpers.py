@@ -7,9 +7,10 @@ enumeration.  ``reference_merge_scan`` is the library's earlier unpruned
 merge scan, kept verbatim so that the pruned scan can be held to exactly
 the same choices; its residual search prices come from
 ``residual_prices`` here, not from the library's merge scan.
-``reference_greedy_merge`` is the library's earlier residual run, which
-searched every (root, level) pair afresh in every iteration; the run that
-keeps its searches and lowers them in place is held to its exact report.
+``reference_greedy_merge`` is the library's earlier run, which searched
+every (root, level) pair afresh in every iteration; the run that keeps its
+searches and lowers them in place is held to its exact report under either
+charging mode.
 ``reference_closure_mst`` is the library's earlier metric-closure Steiner
 approximation, one full search per terminal, against which the Voronoi
 bridge construction is held to the same MST weight.
@@ -266,9 +267,11 @@ def reference_merge_scan(
 
 
 def reference_greedy_merge(
-    inst: PnwstInstance, prefer_larger_groups: bool = False
+    inst: PnwstInstance,
+    charging: str = "residual",
+    prefer_larger_groups: bool = False,
 ) -> PnwstRunReport:
-    """The library's residual ``greedy_merge`` with every search rerun.
+    """The library's ``greedy_merge`` with every search rerun.
 
     Each iteration scans with ``reference_merge_scan``, which searches
     every (root, level) pair afresh at the current rates.
@@ -276,7 +279,7 @@ def reference_greedy_merge(
     forest = init_rate_forest(inst)
     records: list[IterationRecord] = []
     while len(forest.trees) > 1:
-        cand = reference_merge_scan(inst, forest, "residual", prefer_larger_groups)
+        cand = reference_merge_scan(inst, forest, charging, prefer_larger_groups)
         size_before = len(forest.trees)
         added = apply_merge(inst, forest, cand)
         records.append(

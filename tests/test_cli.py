@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import priority_steiner
-from priority_steiner import gen_random_pst, gen_tightness_pnwst
+from priority_steiner import cli, gen_random_pst, gen_tightness_pnwst
 from priority_steiner.cli import main
 from priority_steiner.fileio import write_instance
 
@@ -532,3 +532,52 @@ class TestBench:
         assert code == 0
         rows = target.read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 2 * 2
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--sizes", "4", "--solvers", "alg9"], "--solvers: unknown solver 'alg9'"),
+            (["--sizes", "4", "--solvers", "alg1,best:alg1"],
+             "--solvers: unknown solver 'best:alg1'"),
+            (["--sizes", "2..x", "--solvers", "alg1"],
+             "--sizes: 'x' is not an integer"),
+            (["--sizes", "..3", "--solvers", "alg1"],
+             "--sizes: '' is not an integer"),
+            (["--sizes", "4,5.5", "--solvers", "alg1"],
+             "--sizes: '5.5' is not an integer"),
+            (["--sizes", "4", "--seeds", "0,y", "--solvers", "alg1"],
+             "--seeds: 'y' is not an integer"),
+        ],
+    )
+    def test_bad_option_exits_two_before_generating(
+        self, capsys, monkeypatch, options, message
+    ):
+        def no_build(args):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(cli, "_spec_from_args", no_build)
+        code = main(["bench", "random-pst", *options])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_directory_as_path_is_an_error_line(capsys, tmp_path, single_edge_file):
+    # A directory where a file is read or written is one error line and
+    # exit 2, not a traceback.
+    folder = str(tmp_path)
+    for argv in (
+        ["solve", folder, "--solver", "alg1"],
+        ["check", single_edge_file, folder],
+        ["decompose", folder, "--marked", "1"],
+        ["gen", "random-pst", "--out", folder],
+        ["bench", "random-pst", "--sizes", "4", "--solvers", "alg1", "--csv", folder],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1, argv
+        assert folder in captured.err, argv

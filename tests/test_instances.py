@@ -74,6 +74,8 @@ class TestValidate:
         msgs = " / ".join(validate_instance(inst))
         assert "duplicate edge (1,2)" in msgs
         assert "self-loop at vertex 3" in msgs
+        # Three edges on three vertices, yet vertex 3 is cut off.
+        assert "graph not connected" in msgs
 
     @given(st.integers(0, 300))
     @settings(max_examples=40, deadline=None)

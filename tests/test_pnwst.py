@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -267,31 +266,14 @@ class TestPrunedScan:
             rep = greedy_merge(inst, charging, prefer)
             assert len(checked) - before == len(rep.per_iteration) > 0
 
+    @pytest.mark.parametrize("charging", ["residual", "full"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_full_charging_searches_each_pair_once(self, monkeypatch, seed):
-        inst = gen_random_pnwst(14, 0.3, 3, 0.5, seed)
-        search = pnwst.node_rate_search
-        seen = Counter()
-
-        def counted(inst, source, rate, *args, **kwargs):
-            seen[(source, rate)] += 1
-            return search(inst, source, rate, *args, **kwargs)
-
-        monkeypatch.setattr(pnwst, "node_rate_search", counted)
-        rep = greedy_merge(inst, charging="full")
-        assert len(rep.per_iteration) > 1
-        pairs = {
-            (r, b)
-            for r in init_rate_forest(inst).trees
-            for b in range(1, root_priority(inst, r) + 1)
-        }
-        assert seen == Counter(pairs)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_residual_charging_searches_every_iteration(self, monkeypatch, seed):
-        # Each (root, level) pair is searched once and then lowered in
-        # place; every iteration searches afresh only for the winner's
-        # paths, one search per tree joined.
+    def test_each_pair_searched_once_plus_the_winners_paths(
+        self, monkeypatch, seed, charging
+    ):
+        # Each (root, level) pair is searched once and then kept, lowered
+        # in place when its charges fall; every iteration searches afresh
+        # only for the winner's paths, one search per tree joined.
         inst = gen_random_pnwst(14, 0.3, 3, 0.5, seed)
         search = pnwst.node_rate_search
         calls = [0]
@@ -301,7 +283,7 @@ class TestPrunedScan:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(pnwst, "node_rate_search", counted)
-        rep = greedy_merge(inst)
+        rep = greedy_merge(inst, charging)
         assert len(rep.per_iteration) > 1
         pairs = sum(root_priority(inst, r) for r in init_rate_forest(inst).trees)
         assert calls[0] == pairs + sum(r.merged for r in rep.per_iteration)
@@ -336,7 +318,8 @@ def _kept_cases():
 
 class TestKeptResidualSearches:
     @pytest.mark.parametrize("prefer", [False, True])
-    def test_kept_distances_equal_fresh_searches(self, monkeypatch, prefer):
+    @pytest.mark.parametrize("charging", ["residual", "full"])
+    def test_kept_distances_equal_fresh_searches(self, monkeypatch, charging, prefer):
         scan = pnwst.minimize_merge_ratio
         checked = [0]
 
@@ -348,14 +331,15 @@ class TestKeptResidualSearches:
                 for b in range(1, root_priority(inst, r) + 1)
             }
             assert set(_searches.dist) == pairs
+            residual = charging == "residual"
             for (r, b), dist in _searches.dist.items():
-                prices = residual_prices(inst, b, forest.rates)
+                prices = residual_prices(inst, b, forest.rates) if residual else None
                 assert dist == node_rate_search(inst, r, b, prices).dist
                 checked[0] += 1
             return cand
 
         monkeypatch.setattr(pnwst, "minimize_merge_ratio", fresh_checked)
         for inst in _kept_cases():
-            rep = greedy_merge(inst, "residual", prefer)
-            assert rep == reference_greedy_merge(inst, prefer)
+            rep = greedy_merge(inst, charging, prefer)
+            assert rep == reference_greedy_merge(inst, charging, prefer)
         assert checked[0] > 300

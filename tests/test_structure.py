@@ -233,3 +233,46 @@ def test_one_trimming_pass():
     }
     rewalks = in_loop & {"parents", "_tree_parents", "marked_optimize", "RateTree"}
     assert rewalks == set(), sorted(rewalks)
+
+
+def test_one_merge_path_recovery():
+    # The charging mode only sets the vertex prices.  Both modes keep the
+    # same search state, distances and the charges they are exact for, and
+    # rebuild the winner's paths the same way, so the scan reads the mode
+    # only to check it and to build the charge columns.
+    tree = _modules()["pnwst.py"]
+    (searches,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "_Searches"
+    ]
+    fields = [
+        node.target.id for node in searches.body if isinstance(node, ast.AnnAssign)
+    ]
+    assert fields == ["dist", "charges"], fields
+    (scan,) = [fn for fn in _functions(tree) if fn.name == "minimize_merge_ratio"]
+    reads = {
+        id(node)
+        for node in ast.walk(scan)
+        if isinstance(node, ast.Name)
+        and node.id == "charging"
+        and isinstance(node.ctx, ast.Load)
+    }
+    allowed = set()
+    for node in ast.walk(scan):
+        if not isinstance(node, ast.If):
+            continue
+        checks = all(isinstance(stmt, ast.Raise) for stmt in node.body)
+        builds = all(
+            isinstance(stmt, ast.Assign)
+            and any(getattr(t, "id", None) in ("charges", "paid") for t in stmt.targets)
+            for stmt in node.body
+        )
+        if (checks or builds) and not node.orelse:
+            allowed.update(id(x) for x in ast.walk(node))
+    stray = sorted(
+        node.lineno
+        for node in ast.walk(scan)
+        if id(node) in reads - allowed
+    )
+    assert stray == [], f"charging read outside the charge columns at {stray}"
