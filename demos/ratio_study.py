@@ -11,22 +11,12 @@ best-of ratios stay low even though the library does not promise it.
 import statistics
 
 from priority_steiner import (
-    attach_by_priority,
-    attach_to_higher_priority,
-    best_of,
     exact_pst,
     gen_proportional_pst,
     gen_random_pst,
-    per_level_union,
     solution_weight,
 )
-
-SOLVERS = {
-    "alg1": attach_by_priority,
-    "alg2": attach_to_higher_priority,
-    "krho": per_level_union,
-    "best": best_of,
-}
+from priority_steiner.cli import PST_SOLVERS as SOLVERS
 
 
 def study(label, make_instance, count=120):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -33,22 +34,28 @@ from .fileio import (
     write_instance,
 )
 from .generators import FAMILIES, GeneratorSpec
-from .instances import (
-    EdgeRateSolution,
-    PnwstInstance,
-    PstInstance,
-    check_feasible,
-    solution_weight,
-)
+from .instances import EdgeRateSolution, check_feasible, solution_weight
 from .oracle import DEFAULT_MAX_EDGES, InstanceTooLargeError, exact_pnwst, exact_pst
 from .pnwst import greedy_merge
 from .pst import attach_by_priority, attach_to_higher_priority, best_of, per_level_union
 
+# Each solver and oracle is named here once; the tables hold the bare
+# functions, so a tracer that rebinds module-level functions reaches them.
 PST_SOLVERS = {
     "alg1": attach_by_priority,
     "alg2": attach_to_higher_priority,
     "krho": per_level_union,
     "best": best_of,
+}
+PNWST_SOLVERS = {"pnwst": greedy_merge}
+ORACLES = {"PST": exact_pst, "PNWST": exact_pnwst}
+
+_SOLVERS_BY_KIND = {"PST": PST_SOLVERS, "PNWST": PNWST_SOLVERS}
+# Tags whose solver spreads its searches over ``--workers`` threads.
+_THREADED = {
+    tag
+    for tag, solver in PST_SOLVERS.items()
+    if "workers" in inspect.signature(solver).parameters
 }
 
 
@@ -76,39 +83,35 @@ def _digest(inst) -> dict:
     }
 
 
-def _log_bound(t_count: int) -> float:
-    if t_count <= 0:
-        return 1.0
-    return float((t_count - 1).bit_length() + 1)
-
-
 def _solver_bound(tag: str, inst) -> float:
-    t = len(inst.terminals)
+    """The proven ratio of the solver ``tag`` names, on ``inst``."""
+    t, k = len(inst.terminals), inst.graph.k
+    log = float(max(t - 1, 0).bit_length() + 1)  # ceil(log2 t) + 1
     if tag == "pnwst":
         return 2.0 * math.log(t + 1) + 2.0
     if tag == "krho":
-        return 2.0 * inst.graph.k
-    if tag.startswith("best"):
-        return min(_log_bound(t), 2.0 * inst.graph.k)
-    return _log_bound(t)
+        return 2.0 * k
+    if tag == "best":
+        return min(log, 2.0 * k)
+    return log
 
 
-def _run_solver(inst, tag: str, workers: int):
-    if tag == "pnwst":
-        if not isinstance(inst, PnwstInstance):
-            raise ValueError("solver pnwst needs a PNWST instance")
-        return greedy_merge(inst)
-    if not isinstance(inst, PstInstance):
-        raise ValueError(f"solver {tag} needs a PST instance")
-    if tag == "alg2":
-        return attach_to_higher_priority(inst, workers=workers)
-    return PST_SOLVERS[tag](inst)
+def _solver(tag: str, inst):
+    """The solver ``tag`` names; a usage error unless it runs on ``inst``."""
+    (kind,) = [kind for kind, table in _SOLVERS_BY_KIND.items() if tag in table]
+    if kind != inst.kind:
+        raise ValueError(f"solver {tag} needs a {kind} instance")
+    return _SOLVERS_BY_KIND[kind][tag]
 
 
-def _oracle_for(inst, max_edges: int):
-    if isinstance(inst, PstInstance):
-        return exact_pst(inst, max_edges=max_edges)
-    return exact_pnwst(inst, max_edges=max_edges)
+def _run(inst, tag: str, workers: int):
+    """Run solver ``tag``: (report, seconds, weight, violation or None)."""
+    solver = _solver(tag, inst)
+    started = time.perf_counter()
+    report = solver(inst, workers=workers) if tag in _THREADED else solver(inst)
+    elapsed = time.perf_counter() - started
+    sol = report.solution
+    return report, elapsed, solution_weight(inst, sol), check_feasible(inst, sol)
 
 
 def _solution_doc(sol) -> list:
@@ -119,12 +122,8 @@ def _solution_doc(sol) -> list:
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    started = time.perf_counter()
-    report = _run_solver(inst, args.solver, args.workers)
-    elapsed = time.perf_counter() - started
+    report, elapsed, weight, violation = _run(inst, args.solver, args.workers)
     sol = report.solution
-    weight = solution_weight(inst, sol)
-    violation = check_feasible(inst, sol)
     doc = {
         "schema": 1,
         "instance": _digest(inst),
@@ -150,11 +149,11 @@ def cmd_solve(args) -> int:
             for r in report.per_iteration
         ]
     if args.exact:
-        oracle = _oracle_for(inst, args.max_edges)
+        oracle = ORACLES[inst.kind](inst, max_edges=args.max_edges)
         doc["oracle"] = {
             "opt": oracle.opt_weight,
             "ratio": weight / oracle.opt_weight if oracle.opt_weight else None,
-            "bound": _solver_bound(report.solver_tag, inst),
+            "bound": _solver_bound(args.solver, inst),
         }
     print(f"solve: {elapsed:.3f}s", file=sys.stderr)
     if args.json:
@@ -175,7 +174,7 @@ def cmd_solve(args) -> int:
 def cmd_exact(args) -> int:
     inst = load_instance(args.instance)
     started = time.perf_counter()
-    res = _oracle_for(inst, args.max_edges)
+    res = ORACLES[inst.kind](inst, max_edges=args.max_edges)
     elapsed = time.perf_counter() - started
     print(f"exact: {elapsed:.3f}s", file=sys.stderr)
     if args.json:
@@ -264,7 +263,7 @@ def _parse_sizes(spec: str) -> list[int]:
 def cmd_bench(args) -> int:
     solvers = [tok for tok in args.solvers.split(",") if tok]
     for tag in solvers:
-        if tag not in PST_SOLVERS and tag != "pnwst":
+        if not any(tag in table for table in _SOLVERS_BY_KIND.values()):
             raise ValueError(f"--solvers: unknown solver {tag!r}")
     seeds = _ints("--seeds", filter(None, args.seeds.split(",")))
     sizes = _parse_sizes(args.sizes)
@@ -277,15 +276,14 @@ def cmd_bench(args) -> int:
                 label = f"tightness-{size}"
             else:
                 label = f"{args.family}-{size}-s{seed}"
+            for tag in solvers:
+                _solver(tag, inst)  # a flavour mismatch stops before the oracle
             opt: Optional[float] = None
             if args.exact:
-                opt = _oracle_for(inst, args.max_edges).opt_weight
+                opt = ORACLES[inst.kind](inst, max_edges=args.max_edges).opt_weight
             for tag in solvers:
-                started = time.perf_counter()
-                report = _run_solver(inst, tag, args.workers)
-                elapsed = time.perf_counter() - started
-                weight = solution_weight(inst, report.solution)
-                if check_feasible(inst, report.solution) is not None:
+                report, elapsed, weight, violation = _run(inst, tag, args.workers)
+                if violation is not None:
                     raise AssertionError(f"{label}/{tag}: infeasible output")
                 ratio = "" if not opt else f"{weight / opt:.12g}"
                 opt_txt = "" if opt is None else f"{opt:.12g}"
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--solver",
         required=True,
-        choices=[*PST_SOLVERS, "pnwst"],
+        choices=[*PST_SOLVERS, *PNWST_SOLVERS],
     )
     p.add_argument("--exact", action="store_true", help="also run the oracle")
     p.add_argument("--json", action="store_true")

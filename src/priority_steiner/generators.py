@@ -8,6 +8,7 @@ passes :func:`~priority_steiner.instances.validate_instance`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -50,7 +51,7 @@ def _random_connected_edges(
     tree = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
     edges = [(min(u, v), max(u, v)) for (u, v) in tree]
     total_pairs = n * (n - 1) // 2
-    target = max(n - 1, round(density * total_pairs))
+    target = max(n - 1, round(min(max(density, 0.0), 1.0) * total_pairs))
     extra = min(target, total_pairs) - (n - 1)
     if extra <= 0:
         return edges
@@ -93,8 +94,30 @@ def _pick_terminals(
 ) -> list[int]:
     pool = [v for v in range(1, n + 1) if v != source]
     rng.shuffle(pool)
-    count = min(len(pool), max(1, round(fraction * (n - 1))))
+    count = min(len(pool), max(1, round(min(max(fraction, 0.0), 1.0) * (n - 1))))
     return sorted(pool[:count])
+
+
+def _random_start(
+    n: int, density: float, k: int, terminal_fraction: float, seed: int
+) -> tuple[StableRng, list[tuple[int, int]], dict[int, int]]:
+    """Check a random family's parameters, then draw its edges and priorities.
+
+    Every check comes before the first draw, and the draws keep one order:
+    the edges, the terminals, then one priority per terminal.  A density or
+    terminal fraction outside [0, 1] acts as the nearer end of it.
+    """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    for name, value in (("density", density), ("terminal_fraction", terminal_fraction)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    rng = StableRng(seed)
+    edges = _random_connected_edges(n, density, rng)
+    terms = _pick_terminals(n, 1, terminal_fraction, rng)
+    return rng, edges, {t: rng.randint(1, k) for t in terms}
 
 
 def gen_random_pst(
@@ -110,12 +133,7 @@ def gen_random_pst(
     terminal priorities are uniform over the levels, and the source is
     vertex 1.
     """
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    rng = StableRng(seed)
-    edges = _random_connected_edges(n, density, rng)
-    terms = _pick_terminals(n, 1, terminal_fraction, rng)
-    priorities = {t: rng.randint(1, k) for t in terms}
+    rng, edges, priorities = _random_start(n, density, k, terminal_fraction, seed)
     weights = [_monotone_row(rng, k) for _ in edges]
     return PstInstance(PriorityGraph(n, edges, k), 1, priorities, weights)
 
@@ -128,12 +146,7 @@ def gen_random_pnwst(
     seed: int = 0,
 ) -> PnwstInstance:
     """Random node-weighted counterpart; terminal and source rows are zero."""
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    rng = StableRng(seed)
-    edges = _random_connected_edges(n, density, rng)
-    terms = _pick_terminals(n, 1, terminal_fraction, rng)
-    priorities = {t: rng.randint(1, k) for t in terms}
+    rng, edges, priorities = _random_start(n, density, k, terminal_fraction, seed)
     zeros = tuple(0.0 for _ in range(k))
     weights = [
         zeros if v == 1 or v in priorities else _monotone_row(rng, k)
@@ -153,12 +166,7 @@ def gen_proportional_pst(
 
     With one level this coincides exactly with :func:`gen_random_pst`.
     """
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    rng = StableRng(seed)
-    edges = _random_connected_edges(n, density, rng)
-    terms = _pick_terminals(n, 1, terminal_fraction, rng)
-    priorities = {t: rng.randint(1, k) for t in terms}
+    rng, edges, priorities = _random_start(n, density, k, terminal_fraction, seed)
     graph = PriorityGraph(n, edges, k)
     weights = []
     for _ in edges:

@@ -337,6 +337,44 @@ class TestGen:
         code, _ = run(capsys, ["solve", str(path), "--solver", "pnwst"])
         assert code == 0
 
+    @pytest.mark.parametrize("family", ["random-pst", "random-pnwst", "proportional"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--density", "inf"], "density must be finite, got inf"),
+            (["--density=-inf"], "density must be finite, got -inf"),
+            (["--density", "nan"], "density must be finite, got nan"),
+            (["--terminal-fraction", "inf"],
+             "terminal_fraction must be finite, got inf"),
+            (["--terminal-fraction", "nan"],
+             "terminal_fraction must be finite, got nan"),
+            (["--k", "0"], "k must be at least 1, got 0"),
+            (["--k", "-3"], "k must be at least 1, got -3"),
+            (["--n", "1"], "n must be at least 2, got 1"),
+            (["--n", "1", "--k", "0"], "n must be at least 2, got 1"),
+        ],
+    )
+    def test_bad_parameter_is_one_error_line(self, capsys, family, options, message):
+        code = main(["gen", family, *options])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("family", ["random-pst", "random-pnwst", "proportional"])
+    def test_huge_fractions_act_as_one(self, capsys, family):
+        # A finite density or fraction above 1 asks for every pair or
+        # vertex, however large it is.
+        outs = []
+        for value in ("1", "1e308"):
+            code, out = run(
+                capsys,
+                ["gen", family, "--density", value, "--terminal-fraction", value],
+            )
+            assert code == 0
+            outs.append(out.split("\n", 1)[1])  # past the comment naming it
+        assert outs[0] == outs[1]
+
 
 class TestCheck:
     def test_solver_output_checks_ok(self, capsys, tmp_path, single_edge_file):
@@ -521,6 +559,26 @@ class TestBench:
             cells = row.split(",")
             expect = 2 * (sum(1 / i for i in range(1, t + 2)) - 1)
             assert abs(float(cells[4]) - expect) < 1e-9
+
+    def test_flavour_mismatch_stops_before_the_oracle(self, capsys, monkeypatch):
+        from priority_steiner import oracle
+
+        calls = []
+        search = oracle._exact_search
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_exact_search", counted)
+        code = main(
+            ["bench", "tightness", "--sizes", "2..8", "--solvers", "alg1", "--exact"]
+        )
+        captured = capsys.readouterr()
+        assert calls == []
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: solver alg1 needs a PST instance\n"
 
     def test_csv_file_written(self, capsys, tmp_path):
         target = tmp_path / "bench.csv"

@@ -276,3 +276,48 @@ def test_one_merge_path_recovery():
         if id(node) in reads - allowed
     )
     assert stray == [], f"charging read outside the charge columns at {stray}"
+
+
+def test_one_solver_table():
+    # Each solver and oracle the command line runs is named once, as a bare
+    # function in a module-level table; lookups read the tables and the
+    # instance's ``kind``, never its class.
+    tree = _modules()["cli.py"]
+    runners = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("pst", "pnwst", "oracle")
+        for alias in node.names
+        if alias.name[0].islower()
+    }
+    assert runners >= {"best_of", "greedy_merge", "exact_pst", "exact_pnwst"}, runners
+    tables = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets]
+        in (["PST_SOLVERS"], ["PNWST_SOLVERS"], ["ORACLES"])
+    ]
+    in_tables = {id(value) for table in tables for value in table.values}
+    stray = sorted(
+        f"{node.id}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and node.id in runners
+        and id(node) not in in_tables
+    )
+    assert stray == [], stray
+    forks = sorted(
+        f"{name.id}:{name.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "isinstance"
+        for name in ast.walk(node.args[1])
+        if isinstance(name, ast.Name) and name.id.endswith("Instance")
+    )
+    assert forks == [], forks
+    assert len(tables) == 3 and all(isinstance(t, ast.Dict) for t in tables)
+    listed = sorted(
+        v.id for table in tables for v in table.values if isinstance(v, ast.Name)
+    )
+    assert listed == sorted(runners), listed
