@@ -23,15 +23,18 @@ once per run and keeps its distances for every later iteration.  A charge
 only falls, and only at the vertices whose level the last merge raised, so
 each iteration lowers the kept distances in place from those vertices; the
 result equals a fresh search bit for bit (see ``paths``).  Full charges
-never fall, so their kept distances are never touched.  The winning
-merge's paths come from searches stopped at its center.
+never fall, so their kept distances are never touched.  The scan reads
+sorted rows per (level, center), the legs of the eligible roots and the
+heads of the roots above the level; they are kept across iterations too,
+and each iteration re-sorts only the rows whose entries changed.  The
+winning merge's paths come from searches stopped at its center.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .instances import (
     PnwstInstance,
@@ -109,11 +112,18 @@ class _Searches:
 
     ``dist`` holds each current root's distances by (root, level), and
     ``charges`` the charge columns, by level, that ``dist`` is exact for.
-    No parent trees are kept, which keeps memory flat.
+    ``rows[b][v]`` is the ascending (leg, root) row of the roots eligible
+    at level b, a leg being the root's distance to v at its own priority,
+    and ``heads[b][v]`` the ascending (distance + charge, root) row of the
+    roots above b, both at level b.  Rows follow ``dist`` and ``charges``:
+    each call rebuilds only the rows of centers whose entries changed.  No
+    parent trees are kept, which keeps memory flat.
     """
 
     dist: dict[tuple[int, int], list[float]] = field(default_factory=dict)
     charges: list[list[float]] = field(default_factory=list)
+    rows: list[list[list[tuple[float, int]]]] = field(default_factory=list)
+    heads: list[list[list[tuple[float, int]]]] = field(default_factory=list)
 
 
 def root_priority(inst: PnwstInstance, root: int) -> int:
@@ -131,33 +141,26 @@ def init_rate_forest(inst: PnwstInstance) -> RateForest:
     return RateForest(trees, rates)
 
 
-def _head_limit(legs: list[float], bound: float) -> float:
-    # The largest head cost at which some prefix of the ascending legs can
-    # still score at most ``bound``.  head + S_q <= bound * (q + 1) for some
-    # q >= 1 exactly when head <= bound + sum(bound - leg) over the first
-    # leg and the later legs below bound.  Dropping a leg (a root skipping
-    # itself) never raises this limit.  The relative margin absorbs float
-    # rounding, so a head above the limit scores strictly above bound
+def _head_limit(row: list[tuple[float, int]], bound: float) -> float:
+    # The largest head cost at which some prefix of the ascending legs of
+    # the row can still score at most ``bound``.  head + S_q <= bound * (q + 1)
+    # for some q >= 1 exactly when head <= bound + sum(bound - leg) over the
+    # first leg and the later legs below bound.  Dropping a leg (a root
+    # skipping itself) never raises this limit.  The relative margin absorbs
+    # float rounding, so a head above the limit scores strictly above bound
     # however it is summed.
     if math.isinf(bound):
         return math.inf
-    if not legs or math.isinf(legs[0]):
+    if not row or math.isinf(row[0][0]):
         return -math.inf
     limit = bound
-    scale = abs(bound) * (len(legs) + 1)
-    for i, leg in enumerate(legs):
+    scale = abs(bound) * (len(row) + 1)
+    for i, (leg, _) in enumerate(row):
         if i and leg >= bound:
             break
         limit += bound - leg
         scale += abs(leg)
     return limit + 1e-9 * (abs(limit) + scale)
-
-
-def _by_center(dists: list[list[float]], n: int) -> list[list[float]]:
-    # Transpose per-root distance lists into per-vertex lists.  Lists, not
-    # the tuples zip yields: freed small tuples stay cached by the
-    # interpreter, which would hold on to memory after the run.
-    return list(map(list, zip(*dists))) or [[] for _ in range(n + 1)]
 
 
 def _best_prefix(
@@ -223,12 +226,17 @@ def minimize_merge_ratio(
     those of the full scan.  Roots above level b are not in the leg row at
     level b, so at each center they share one row: they are visited by
     ascending (head, root), and of equal heads only the first is scored.
+    Roots at level b are in the row, and their heads are read from it as
+    leg plus center charge.  Both walks stop at the first head above T.
 
-    ``_searches`` keeps the searches by (root, level) across the calls of
-    one run.  Keys of merged-away roots are dropped, and kept distances
-    are lowered in place to this call's charges.  Without it every search
-    is fresh.  Under either charging mode the winning merge's paths come
-    from searches stopped at its center, one per root joined.
+    ``_searches`` keeps the searches by (root, level) and the sorted leg
+    and head rows read from them across the calls of one run.  Merged-away
+    roots leave every row and their keys are dropped, kept distances are
+    lowered in place to this call's charges, and only the rows of centers
+    whose distances or charge changed are sorted again; a level searched
+    afresh sorts every row.  Without it every search and row is fresh.
+    Under either charging mode the winning merge's paths come from
+    searches stopped at its center, one per root joined.
 
     Raises ValueError when no merge has a finite cost, which happens when
     the terminals and the source are not all in one component.
@@ -251,47 +259,53 @@ def minimize_merge_ratio(
         paid = [charges[forest.rates.get(v, 0)][v] for v in range(n + 1)]
         charges = [[max(0.0, w - p) for w, p in zip(col, paid)] for col in charges]
 
-    for key in [key for key in cache.dist if key[0] not in level_of]:
-        del cache.dist[key]
-    _lower_residual(inst, cache, charges)
+    _drop_roots(inst, cache, level_of)
+    lowered, fell = _lower_residual(inst, cache, charges)
 
     # One search per (root, level up to the root's priority); the search at
     # the root's own priority also provides the center-to-root leg costs,
     # since interior-priced path costs are symmetric.
     dist = cache.dist
+    fresh = False
     for r in roots:
         for b in range(1, level_of[r] + 1):
             if (r, b) not in dist:
                 dist[(r, b)] = node_rate_search(inst, r, b, charges[b]).dist
+                fresh = True
+    if fresh:
+        lowered = fell = [set(range(1, n + 1))] * (k + 1)
+        cache.rows = [[[] for _ in range(n + 1)] for _ in range(k + 1)]
+        cache.heads = [[[] for _ in range(n + 1)] for _ in range(k + 1)]
+    # A leg at level b is a distance at a level up to b, and a head a
+    # distance at b plus the charge there.
+    stale: set[int] = set()
+    for b in range(1, k + 1):
+        stale |= lowered[b]
+        _fill_rows(cache, level_of, b, stale, lowered[b].union(fell[b]))
 
     best_key = None
     best = None
     for b in range(1, k + 1):
-        charge = charges[b]
-        elig = [r for r in roots if level_of[r] <= b]
-        upper = [r for r in roots if level_of[r] > b]
-        same = [r for r in elig if level_of[r] == b]
-        # Per center v: the leg costs of the eligible trees, and the
-        # root-to-center costs of the roots above b and at b.
-        legs_at = _by_center([dist[(r, level_of[r])] for r in elig], n)
-        upper_at = _by_center([dist[(r, b)] for r in upper], n)
-        same_at = _by_center([dist[(r, b)] for r in same], n)
+        charge, rows, heads = charges[b], cache.rows[b], cache.heads[b]
+        same = any(level_of[r] == b for r in roots)
         for v in range(1, n + 1):
-            legs, ups, sames, c = legs_at[v], upper_at[v], same_at[v], charge[v]
-            sorted_legs = sorted(legs)
-            limit = _head_limit(sorted_legs, best_key[0] if best_key else math.inf)
-            if min(ups + sames, default=math.inf) + c > limit:
-                continue  # not even the cheapest head reaches the best score
-            row = sorted(zip(legs, elig))
-            heads = sorted(
-                h for h in zip([d + c for d in ups], upper) if h[0] <= limit
-            )
+            row, c = rows[v], charge[v]
+            limit = _head_limit(row, best_key[0] if best_key else math.inf)
             # Roots above b share the row, so equal heads score the same
             # and only the first of them (the smallest id) can win.
-            todo = [
-                h for i, h in enumerate(heads) if not i or h[0] != heads[i - 1][0]
-            ]
-            todo += [(d + c, r) for d, r in zip(sames, same)]
+            todo: list[tuple[float, int]] = []
+            for head, r in heads[v]:
+                if head > limit:
+                    break
+                if not todo or head != todo[-1][0]:
+                    todo.append((head, r))
+            # Roots at b are in the row, their head being leg + c.
+            if same:
+                for leg, r in row:
+                    if leg + c > limit:
+                        break
+                    if level_of[r] == b:
+                        todo.append((leg + c, r))
             for head, r in todo:
                 if head > limit or math.isinf(head):
                     continue
@@ -304,7 +318,7 @@ def minimize_merge_ratio(
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (score, total, h, r, v, b, sel)
-                    limit = _head_limit(sorted_legs, score)
+                    limit = _head_limit(row, score)
 
     if best is None:
         raise ValueError(_DISCONNECTED)
@@ -321,33 +335,80 @@ def minimize_merge_ratio(
     return MergeCandidate(score, total, h, r, v, b, tuple(sel), path_rv, paths)
 
 
+def _drop_roots(
+    inst: PnwstInstance, cache: _Searches, level_of: dict[int, int]
+) -> None:
+    # Take the roots merged away since the last call out of every row, then
+    # drop their searches.  Their distances and the charges are still those
+    # the rows were built from, so each entry is found by its exact value.
+    for r in sorted({r for r, _ in cache.dist} - level_of.keys()):
+        top = root_priority(inst, r)
+        for b in range(1, inst.graph.k + 1):
+            if b < top:
+                dist, col = cache.dist[(r, b)], cache.charges[b]
+                for v, heads in enumerate(cache.heads[b][1:], 1):
+                    heads.remove((dist[v] + col[v], r))
+            else:
+                dist = cache.dist[(r, top)]
+                for v, row in enumerate(cache.rows[b][1:], 1):
+                    row.remove((dist[v], r))
+        for b in range(1, top + 1):
+            del cache.dist[(r, b)]
+
+
+def _fill_rows(
+    cache: _Searches,
+    level_of: dict[int, int],
+    b: int,
+    centers: Iterable[int],
+    head_centers: Iterable[int],
+) -> None:
+    # Rebuild the level-b leg rows at ``centers`` and head rows at
+    # ``head_centers`` from the kept distances and charges.
+    dist = cache.dist
+    legs = [(dist[(r, lvl)], r) for r, lvl in level_of.items() if lvl <= b]
+    ups = [(dist[(r, b)], r) for r, lvl in level_of.items() if lvl > b]
+    rows, heads, charge = cache.rows[b], cache.heads[b], cache.charges[b]
+    for v in centers:
+        rows[v] = sorted([(d[v], r) for d, r in legs])
+    for v in head_centers:
+        c = charge[v]
+        heads[v] = sorted([(d[v] + c, r) for d, r in ups])
+
+
 def _lower_residual(
     inst: PnwstInstance, cache: _Searches, charges: list[list[float]]
-) -> None:
+) -> tuple[list[set[int]], list[Iterable[int]]]:
     # Bring the kept distances to the new charge columns; full charges never
     # change, so under full charging nothing is lowered.  A level whose
     # charge rose anywhere, which only weights that fall as the level
     # rises can cause, is searched afresh instead.  A search's own root and
     # unreachable vertices are never reseeded: the root steps out at cost 0
     # whatever its charge, and nothing reaches past an unreachable vertex.
+    # Returns, by level, the vertices whose distance an update lowered in
+    # some search and those whose charge fell.
+    k = inst.graph.k
+    lowered: list[set[int]] = [set() for _ in range(k + 1)]
+    fell: list[Iterable[int]] = [[] for _ in range(k + 1)]
     old, cache.charges = cache.charges, charges
     if not old:
-        return
+        return lowered, fell
     adj = inst.graph.adjacency
     zero = [0.0] * inst.graph.m
-    fell: list[Optional[list[int]]] = [None]
-    for new_col, old_col in zip(charges[1:], old[1:]):
-        pairs = list(zip(new_col, old_col))
-        rose = any(c > o for c, o in pairs)
-        fell.append(None if rose else [v for v, (c, o) in enumerate(pairs) if c < o])
+    rose = [False] * (k + 1)
+    for b in range(1, k + 1):
+        pairs = list(zip(charges[b], old[b]))
+        rose[b] = any(c > o for c, o in pairs)
+        fell[b] = [v for v, (c, o) in enumerate(pairs) if c < o]
     for (r, b), dist in list(cache.dist.items()):
-        seeds = fell[b]
-        if seeds is None:
+        if rose[b]:
             del cache.dist[(r, b)]
             continue
-        seeds = [v for v in seeds if v != r and dist[v] < math.inf]
+        seeds = [v for v in fell[b] if v != r and dist[v] < math.inf]
         if seeds:
-            _dijkstra(adj, seeds, charges[b], zero, None, dist)
+            _, parent, _ = _dijkstra(adj, seeds, charges[b], zero, None, dist)
+            lowered[b].update(v for v, u in enumerate(parent) if u)
+    return lowered, fell
 
 
 def apply_merge(

@@ -343,3 +343,81 @@ class TestKeptResidualSearches:
             rep = greedy_merge(inst, charging, prefer)
             assert rep == reference_greedy_merge(inst, charging, prefer)
         assert checked[0] > 300
+
+
+def _rebuilt_rows(inst, forest, searches, b):
+    # The level-b leg and head rows sorted afresh from the kept distances
+    # and charges, by center.
+    dist, charge = searches.dist, searches.charges[b]
+    level_of = {r: root_priority(inst, r) for r in forest.trees}
+    centers = range(1, inst.graph.n + 1)
+    rows = [
+        sorted((dist[(r, lvl)][v], r) for r, lvl in level_of.items() if lvl <= b)
+        for v in centers
+    ]
+    heads = [
+        sorted(
+            (dist[(r, b)][v] + charge[v], r) for r, lvl in level_of.items() if lvl > b
+        )
+        for v in centers
+    ]
+    return rows, heads
+
+
+def _tie_trap():
+    # Roots 1 (the source) and 3 sit above level 1 and reach center 2 at
+    # level 1 through 6 and 7, at distances 2**53 + 2 and 2**53.  Center 2
+    # charges 2**53, so both heads round to 2**54 and sort by root id.  The
+    # first merge joins terminals 4 and 5 at center 2, which drops its
+    # charge to 0; the heads are then 2**53 + 2 and 2**53, which sort root 3
+    # first, and the second merge is root 3 at center 2.
+    big = 2.0**53
+    edges = [(1, 6), (6, 2), (3, 7), (7, 2), (2, 4), (2, 5)]
+    rows = [(0.0, 0.0), (big, big), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+    rows += [(big + 2, 2.0**60), (big, 2.0**60)]
+    return PnwstInstance(PriorityGraph(7, edges, 2), 1, {3: 2, 4: 1, 5: 1}, rows)
+
+
+class TestKeptMergeRows:
+    @pytest.mark.parametrize("prefer", [False, True])
+    @pytest.mark.parametrize("charging", ["residual", "full"])
+    def test_kept_rows_equal_rebuilt_rows(self, monkeypatch, charging, prefer):
+        scan = pnwst.minimize_merge_ratio
+        checked = [0]
+
+        def rows_checked(inst, forest, *args, _searches, **kwargs):
+            cand = scan(inst, forest, *args, _searches=_searches, **kwargs)
+            rates = forest.rates if charging == "residual" else {}
+            for b in range(1, inst.graph.k + 1):
+                assert _searches.charges[b] == residual_prices(inst, b, rates)
+                rows, heads = _rebuilt_rows(inst, forest, _searches, b)
+                assert _searches.rows[b][1:] == rows
+                assert _searches.heads[b][1:] == heads
+                checked[0] += 1
+            return cand
+
+        monkeypatch.setattr(pnwst, "minimize_merge_ratio", rows_checked)
+        levels = 0
+        for inst in _kept_cases():
+            rep = greedy_merge(inst, charging, prefer)
+            levels += inst.graph.k * len(rep.per_iteration)
+        assert checked[0] == levels > 80
+
+    @pytest.mark.parametrize("prefer", [False, True])
+    def test_tied_heads_resort_when_the_charge_falls(self, monkeypatch, prefer):
+        inst = _tie_trap()
+        scan = pnwst.minimize_merge_ratio
+        seen = []
+
+        def pinned(inst, forest, *args, _searches, **kwargs):
+            expect = reference_merge_scan(inst, forest, "residual", prefer)
+            cand = scan(inst, forest, *args, _searches=_searches, **kwargs)
+            assert cand == expect
+            seen.append((cand.root, cand.center, _searches.heads[1][2][:]))
+            return cand
+
+        monkeypatch.setattr(pnwst, "minimize_merge_ratio", pinned)
+        greedy_merge(inst, "residual", prefer)
+        big = 2.0**53
+        assert seen[0] == (4, 2, [(2 * big, 1), (2 * big, 3)])
+        assert seen[1] == (3, 2, [(big, 3), (big + 2, 1)])

@@ -237,9 +237,11 @@ def test_one_trimming_pass():
 
 def test_one_merge_path_recovery():
     # The charging mode only sets the vertex prices.  Both modes keep the
-    # same search state, distances and the charges they are exact for, and
-    # rebuild the winner's paths the same way, so the scan reads the mode
-    # only to check it and to build the charge columns.
+    # same search state, distances, the charges they are exact for and the
+    # per-center leg and head rows read from them, and rebuild the winner's
+    # paths the same way, so the scan reads the mode only to check it and
+    # to build the charge columns.  The rows are kept, never transposed
+    # afresh from the distances on every call.
     tree = _modules()["pnwst.py"]
     (searches,) = [
         node
@@ -249,7 +251,8 @@ def test_one_merge_path_recovery():
     fields = [
         node.target.id for node in searches.body if isinstance(node, ast.AnnAssign)
     ]
-    assert fields == ["dist", "charges"], fields
+    assert fields == ["dist", "charges", "rows", "heads"], fields
+    assert "_by_center" not in {fn.name for fn in _functions(tree)}
     (scan,) = [fn for fn in _functions(tree) if fn.name == "minimize_merge_ratio"]
     reads = {
         id(node)
