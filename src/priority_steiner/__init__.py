@@ -20,7 +20,7 @@ from .instances import (
     subdivide_to_node_weighted,
     validate_instance,
 )
-from .paths import PathResult, edge_rate_search, node_rate_search
+from .paths import PathResult, edge_rate_search, node_rate_search, stopped_edge_search
 from .pst import (
     PstRunReport,
     attach_by_priority,

@@ -105,6 +105,10 @@ def parse_instance(text: str) -> Instance:
     edges: list[tuple[int, int]] = []
     edge_rows: list[tuple[float, ...]] = []
     node_rows: dict[int, tuple[float, ...]] = {}
+    # Edge weight rows by their tokens: generated files repeat a few
+    # thousand rows over tens of thousands of edges, and equal tokens parse
+    # to equal floats, so each distinct row is parsed and stored once.
+    parsed_rows: dict[tuple[str, ...], tuple[float, ...]] = {}
 
     for line_no, toks in _records(text):
         head = toks[0]
@@ -139,7 +143,11 @@ def parse_instance(text: str) -> Instance:
             if kind == "PST":
                 if len(toks) != 3 + k:
                     raise ParseError(line_no, f"expected {k} edge weights")
-                edge_rows.append(_weights(line_no, toks[3:]))
+                key = tuple(toks[3:])
+                row = parsed_rows.get(key)
+                if row is None:
+                    row = parsed_rows[key] = _weights(line_no, toks[3:])
+                edge_rows.append(row)
             elif len(toks) > 3:
                 raise ParseError(line_no, "node-weighted edges take no weights")
             edges.append((_int(line_no, toks[1]), _int(line_no, toks[2])))
@@ -233,8 +241,13 @@ def write_instance(inst: Instance, comment: Optional[str] = None) -> str:
     for t in sorted(inst.terminals):
         lines.append(f"terminal {t} {inst.terminals[t]}")
     if isinstance(inst, PstInstance):
-        for eid, (u, v) in enumerate(g.edges):
-            row = " ".join(_fmt(w) for w in inst.edge_weights[eid])
+        # Generated tables repeat rows often, so each distinct row is
+        # formatted once.
+        rows: dict[tuple[float, ...], str] = {}
+        for (u, v), weights in zip(g.edges, inst.edge_weights):
+            row = rows.get(weights)
+            if row is None:
+                row = rows[weights] = " ".join(map(_fmt, weights))
             lines.append(f"edge {u} {v} {row}")
     else:
         for (u, v) in g.edges:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .instances import PnwstInstance, PriorityGraph, PstInstance
 
@@ -21,26 +22,32 @@ class StableRng:
     """Seeded integer randomness built on raw generator words only."""
 
     def __init__(self, seed: int) -> None:
-        self._r = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+        self._draw = random.Random(seed & 0xFFFFFFFFFFFFFFFF).getrandbits
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection."""
+        """Uniform integer in [0, n) by rejection: draw (n - 1).bit_length()
+        bits until the value is below n.  ``shuffle`` and ``_monotone_row``
+        repeat this draw inline, so they consume the same words."""
         if n <= 0:
             raise ValueError("need a positive bound")
         if n == 1:
             return 0
-        bits = (n - 1).bit_length() or 1
-        while True:
-            x = self._r.getrandbits(bits)
-            if x < n:
-                return x
+        bits = (n - 1).bit_length()
+        x = self._draw(bits)
+        while x >= n:
+            x = self._draw(bits)
+        return x
 
     def randint(self, lo: int, hi: int) -> int:
         return lo + self.below(hi - lo + 1)
 
     def shuffle(self, items: list) -> None:
+        draw = self._draw
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            bits = i.bit_length()  # j = below(i + 1), inline
+            j = draw(bits)
+            while j > i:
+                j = draw(bits)
             items[i], items[j] = items[j], items[i]
 
 
@@ -48,8 +55,7 @@ def _random_connected_edges(
     n: int, density: float, rng: StableRng
 ) -> list[tuple[int, int]]:
     """Random spanning tree plus extra edges up to the density target."""
-    tree = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
-    edges = [(min(u, v), max(u, v)) for (u, v) in tree]
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
     total_pairs = n * (n - 1) // 2
     target = max(n - 1, round(min(max(density, 0.0), 1.0) * total_pairs))
     extra = min(target, total_pairs) - (n - 1)
@@ -57,12 +63,7 @@ def _random_connected_edges(
         return edges
     chosen = set(edges)
     if total_pairs <= 20000 or extra * 4 >= total_pairs:
-        pool = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if (u, v) not in chosen
-        ]
+        pool = [p for p in combinations(range(1, n + 1), 2) if p not in chosen]
         rng.shuffle(pool)
         edges.extend(pool[:extra])
     else:
@@ -80,11 +81,20 @@ def _random_connected_edges(
     return edges
 
 
+_CAP_BITS = (WEIGHT_CAP - 1).bit_length()
+
+
 def _monotone_row(rng: StableRng, k: int) -> tuple[float, ...]:
+    # The running maximum of k draws of randint(1, WEIGHT_CAP), inline.
+    draw = rng._draw
     row = []
     cur = 0
     for _ in range(k):
-        cur = max(cur, rng.randint(1, WEIGHT_CAP))
+        x = draw(_CAP_BITS)
+        while x >= WEIGHT_CAP:
+            x = draw(_CAP_BITS)
+        if x >= cur:
+            cur = x + 1
         row.append(float(cur))
     return tuple(row)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -58,6 +59,16 @@ class PriorityGraph:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
         self._adj: Optional[list[list[tuple[int, int]]]] = None
         self._edge_index: Optional[dict[tuple[int, int], int]] = None
+        # Per-thread scratch lists of paths.stopped_edge_search.
+        self._search_scratch = threading.local()
+
+    def __getstate__(self) -> dict:
+        # Thread-local scratch cannot be pickled or copied; a copy of the
+        # graph starts with scratch of its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_search_scratch"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _search_scratch=threading.local())
 
     @property
     def m(self) -> int:
@@ -101,11 +112,20 @@ def _init_rows(inst, rows: Sequence, count: int, element: str) -> None:
 
 
 def _column(cache: dict, rows: Sequence, level: int, lead: list) -> list[float]:
-    """Every row's weight at one level after ``lead``, built once per level."""
+    """Every row's weight at one level after ``lead``, built once per level.
+
+    The columns price the searches, which need nonnegative costs: over a
+    negative edge a search would lower a vertex it had settled, back and
+    forth for ever.  So a column holding a negative weight is refused;
+    its ``min`` is then below 0, or NaN when a NaN comes first.
+    """
     col = cache.get(level)
     if col is None:
-        col = cache[level] = list(lead)
+        col = list(lead)
         col += map(operator.itemgetter(level - 1), rows) if level else [0.0] * len(rows)
+        if col and not min(col) >= 0.0:
+            raise ValueError(f"negative weight at level {level}")
+        cache[level] = col
     return col
 
 

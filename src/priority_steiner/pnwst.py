@@ -44,7 +44,7 @@ from .instances import (
     canonical_edge,
     forced_rates,
 )
-from .paths import _dijkstra, node_rate_search
+from .paths import _dijkstra, _zeros, node_rate_search
 
 _DISCONNECTED = "no finite merge: terminal set is disconnected"
 
@@ -394,7 +394,7 @@ def _lower_residual(
     if not old:
         return lowered, fell
     adj = inst.graph.adjacency
-    zero = [0.0] * inst.graph.m
+    zero = _zeros(inst.graph.m)
     rose = [False] * (k + 1)
     for b in range(1, k + 1):
         pairs = list(zip(charges[b], old[b]))

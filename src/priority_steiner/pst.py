@@ -38,7 +38,7 @@ from .instances import (
     forced_rates,
     solution_weight,
 )
-from .paths import PathResult, edge_rate_search
+from .paths import PathResult, edge_rate_search, stopped_edge_search
 
 # An attachment search that ends without reaching its target (the tree, or
 # a higher-priority vertex, which the source always is) has exhausted a
@@ -117,11 +117,10 @@ def _attach(
 ) -> tuple[int, float, list[int]]:
     # The cheapest path at t's level from t to the first vertex satisfying
     # stop, as (that vertex, path cost, path from t).
-    res = edge_rate_search(inst, [t], inst.terminals[t], stop=stop)
-    u = res.stopped_at
-    if u is None:
+    found = stopped_edge_search(inst, t, inst.terminals[t], stop)
+    if found is None:
         raise ValueError(_DISCONNECTED)
-    return u, res.dist[u], res.path_to(u)
+    return found
 
 
 def _raise_edges(
