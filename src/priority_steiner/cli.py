@@ -121,6 +121,8 @@ def _solution_doc(sol) -> list:
 
 
 def cmd_solve(args) -> int:
+    if args.workers < 1:  # checked for every solver, though only alg2 reads it
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     inst = load_instance(args.instance)
     report, elapsed, weight, violation = _run(inst, args.solver, args.workers)
     sol = report.solution
@@ -282,7 +284,7 @@ def cmd_bench(args) -> int:
             if args.exact:
                 opt = ORACLES[inst.kind](inst, max_edges=args.max_edges).opt_weight
             for tag in solvers:
-                report, elapsed, weight, violation = _run(inst, tag, args.workers)
+                report, elapsed, weight, violation = _run(inst, tag, workers=1)
                 if violation is not None:
                     raise AssertionError(f"{label}/{tag}: infeasible output")
                 ratio = "" if not opt else f"{weight / opt:.12g}"
@@ -359,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.4)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--terminal-fraction", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_bench)
     return top

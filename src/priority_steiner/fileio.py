@@ -10,7 +10,8 @@ Instance files are line records with ``#`` comments::
     edge <u> <v> [w1 .. wk]    (weights for PST only)
     node <v> <w1 .. wk>        (PNWST only; unlisted vertices are free)
 
-``k``, ``nodes`` and ``source`` appear once each, and ``edge`` and ``node``
+``k``, ``nodes`` and ``source`` appear once each, ``nodes`` is at most
+``MAX_NODES`` and ``k`` at most ``MAX_LEVELS``, and ``edge`` and ``node``
 records come after ``k``.  :func:`parse_instance` checks the text itself
 (record shapes, tokens, repeats, vertex ids the graph stores) and then the
 instance model of :func:`~priority_steiner.instances.validate_instance`: a
@@ -60,6 +61,15 @@ from .instances import (
     canonical_edge,
 )
 from .spiders import RateTree, SpiderDecomposition
+
+
+# Size caps checked where the ``nodes`` and ``k`` records are read, before
+# anything of that size is allocated: the searches allocate lists of n + 1
+# entries and the PNWST parser a zero row of k entries, so a huge count
+# would otherwise end in a MemoryError.  They are 200x and 20x the largest
+# benchmark instance (n=5000, k=5).
+MAX_NODES = 1_000_000
+MAX_LEVELS = 100
 
 
 class ParseError(ValueError):
@@ -130,6 +140,9 @@ def parse_instance(text: str) -> Instance:
             once[head] = _int(line_no, toks[1])
             if once[head] < 1:
                 raise ParseError(line_no, f"{head} must be positive")
+            cap = {"nodes": MAX_NODES, "k": MAX_LEVELS}.get(head)
+            if cap is not None and once[head] > cap:
+                raise ParseError(line_no, f"{head} must be at most {cap}")
         elif head == "terminal":
             if len(toks) != 3:
                 raise ParseError(line_no, "terminal takes vertex and level")

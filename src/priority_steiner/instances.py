@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -59,16 +58,6 @@ class PriorityGraph:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
         self._adj: Optional[list[list[tuple[int, int]]]] = None
         self._edge_index: Optional[dict[tuple[int, int], int]] = None
-        # Per-thread scratch lists of paths.stopped_edge_search.
-        self._search_scratch = threading.local()
-
-    def __getstate__(self) -> dict:
-        # Thread-local scratch cannot be pickled or copied; a copy of the
-        # graph starts with scratch of its own.
-        return {k: v for k, v in self.__dict__.items() if k != "_search_scratch"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _search_scratch=threading.local())
 
     @property
     def m(self) -> int:

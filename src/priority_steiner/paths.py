@@ -18,13 +18,15 @@ one shared read-only column, ``_zeros``, never built per call.
 ``stopped_edge_search`` is the edge search that ends at the first vertex
 satisfying a predicate, as the attachment solvers run it once per
 terminal.  It settles a few dozen vertices of thousands, so it allocates
-nothing of the graph's size: its ``dist`` and ``parent`` lists are
-scratch held once per graph and per thread (alg2's worker threads search
-one graph at the same time), all infinite and all zero between searches.
-The loop appends every vertex it lowers to a touched list, and the search
-reads its answer and then resets exactly the touched entries, also when
-it raises.  Full searches allocate their lists: they reach every vertex
-anyway, and they return the lists.
+nothing of the graph's size: the caller passes its ``dist`` and
+``parent`` lists, made once by ``search_scratch`` for a whole run of
+searches, all infinite and all zero on entry.  The loop appends every
+vertex it lowers to a touched list, and the search reads its answer and
+then resets exactly the touched entries, also when it raises, so the
+lists are clean for the caller's next search.  The graph holds no search
+state, so runs on one graph, in threads or in processes, share nothing
+but read-only data.  Full searches allocate their lists: they reach every
+vertex anyway, and they return the lists.
 
 ``_dijkstra`` also updates a finished search in place: given its distance
 list and the vertices whose cost fell since, it reseeds from them at their
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
-from .instances import PnwstInstance, PstInstance
+from .instances import PnwstInstance, PriorityGraph, PstInstance
 
 
 @dataclass
@@ -61,7 +63,6 @@ class PathResult:
 
     dist: list[float]
     parent: list[int]
-    restriction_rate: int
     sources: tuple[int, ...]
     stopped_at: Optional[int] = None
 
@@ -181,36 +182,41 @@ def edge_rate_search(
         inst._level_column(rate),
         stop,
     )
-    return PathResult(dist, parent, rate, srcs, stopped)
+    return PathResult(dist, parent, srcs, stopped)
+
+
+def search_scratch(graph: PriorityGraph) -> tuple[list[float], list[int]]:
+    """A clean (dist, parent) pair for ``stopped_edge_search`` on ``graph``."""
+    return [math.inf] * (graph.n + 1), [0] * (graph.n + 1)
 
 
 def stopped_edge_search(
-    inst: PstInstance, source: int, rate: int, stop: Callable[[int], bool]
+    inst: PstInstance,
+    source: int,
+    rate: int,
+    stop: Callable[[int], bool],
+    scratch: tuple[list[float], list[int]],
 ) -> Optional[tuple[int, float, list[int]]]:
     """The cheapest path at the given level from ``source`` to the first
     vertex satisfying ``stop``, as (that vertex, path cost, path from
     ``source``), or None when no reachable vertex satisfies it.
 
     The same search as ``edge_rate_search(inst, [source], rate, stop)``, on
-    the graph's scratch lists for this thread: the answer is read off them,
-    and the entries the search touched are reset before it returns or
-    raises.  ``stop`` must not search the same graph itself.
+    the caller's ``scratch`` lists from ``search_scratch``: the answer is
+    read off them, and the entries the search touched are reset before it
+    returns or raises, so the lists are clean for the next search.
     """
-    graph = inst.graph
-    local = graph._search_scratch  # this thread's lists, made on first use
-    if not hasattr(local, "lists"):
-        local.lists = ([math.inf] * (graph.n + 1), [0] * (graph.n + 1))
-    dist, parent = local.lists
+    dist, parent = scratch
     touched = [source]
     dist[source] = 0.0
     try:
-        zero, cost = _zeros(graph.n + 1), inst._level_column(rate)
+        zero, cost = _zeros(inst.graph.n + 1), inst._level_column(rate)
         _, _, u = _dijkstra(
-            graph.adjacency, (source,), zero, cost, stop, dist, parent, touched
+            inst.graph.adjacency, (source,), zero, cost, stop, dist, parent, touched
         )
         if u is None:
             return None
-        return u, dist[u], PathResult(dist, parent, rate, (source,)).path_to(u)
+        return u, dist[u], PathResult(dist, parent, (source,)).path_to(u)
     finally:
         for v in touched:
             dist[v] = math.inf
@@ -237,4 +243,4 @@ def node_rate_search(
     dist, parent, stopped = _dijkstra(
         inst.graph.adjacency, (source,), cost, _zeros(inst.graph.m), stop
     )
-    return PathResult(dist, parent, rate, (source,), stopped)
+    return PathResult(dist, parent, (source,), stopped)

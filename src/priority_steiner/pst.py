@@ -38,7 +38,7 @@ from .instances import (
     forced_rates,
     solution_weight,
 )
-from .paths import PathResult, edge_rate_search, stopped_edge_search
+from .paths import PathResult, edge_rate_search, search_scratch, stopped_edge_search
 
 # An attachment search that ends without reaching its target (the tree, or
 # a higher-priority vertex, which the source always is) has exhausted a
@@ -105,19 +105,20 @@ def attach_by_priority(inst: PstInstance) -> PstRunReport:
     rates: dict[tuple[int, int], int] = {}
     costs: dict[int, float] = {}
     order = tuple(sorted(inst.terminals, key=lambda t: (-inst.terminals[t], t)))
+    scratch = search_scratch(inst.graph)
     for t in order:
-        _, costs[t], path = _attach(inst, t, reached.__contains__)
+        _, costs[t], path = _attach(inst, t, reached.__contains__, scratch)
         _raise_edges(rates, map(canonical_edge, path, path[1:]), inst.terminals[t])
         reached.update(path)
     return PstRunReport(remove_cycles(inst, rates), costs, order, "alg1")
 
 
 def _attach(
-    inst: PstInstance, t: int, stop: Callable[[int], bool]
+    inst: PstInstance, t: int, stop: Callable[[int], bool], scratch: tuple
 ) -> tuple[int, float, list[int]]:
     # The cheapest path at t's level from t to the first vertex satisfying
-    # stop, as (that vertex, path cost, path from t).
-    found = stopped_edge_search(inst, t, inst.terminals[t], stop)
+    # stop, as (that vertex, path cost, path from t), on the caller's lists.
+    found = stopped_edge_search(inst, t, inst.terminals[t], stop, scratch)
     if found is None:
         raise ValueError(_DISCONNECTED)
     return found
@@ -132,33 +133,40 @@ def _raise_edges(
             rates[pair] = lvl
 
 
-def _effective_priorities(inst: PstInstance) -> dict[int, tuple[int, int]]:
-    # Lexicographic (level, vertex id); the source outranks everything.
-    eff = {t: (lvl, t) for t, lvl in inst.terminals.items()}
-    eff[inst.source] = (inst.graph.k + 1, 0)
-    return eff
-
-
 def attach_to_higher_priority(inst: PstInstance, workers: int = 1) -> PstRunReport:
     """Connect every terminal to its nearest strictly-higher-priority vertex.
 
     Priority ties are ordered by vertex id (the source ranks above all
-    terminals), so parents are unique.  Searches are independent; with
-    ``workers`` > 1 they run on a thread pool and the merged result is
-    identical to the sequential one because edge levels combine by max.
+    terminals), so parents are unique.  Searches are independent: the
+    sorted terminals are dealt into ``workers`` strided chunks, each
+    searched by one unit that owns its scratch lists, inline for one
+    worker and on a thread pool otherwise.  The results are read back in
+    sorted-terminal order, and edge levels combine by max, so the report
+    is the same for every worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     terms = sorted(inst.terminals)
-    eff = _effective_priorities(inst)
+    # Effective priorities, lexicographic (level, vertex id); the source
+    # outranks everything.
+    eff = {t: (lvl, t) for t, lvl in inst.terminals.items()}
+    eff[inst.source] = (inst.graph.k + 1, 0)
 
-    def attach(t: int) -> tuple[int, float, list[int]]:
-        mine = eff[t]
-        return _attach(inst, t, lambda u: u in eff and eff[u] > mine)
+    def unit(chunk: list[int]) -> list[tuple[int, float, list[int]]]:
+        scratch = search_scratch(inst.graph)
+        return [
+            _attach(inst, t, lambda u, mine=eff[t]: u in eff and eff[u] > mine, scratch)
+            for t in chunk
+        ]
 
+    chunks = [terms[i::workers] for i in range(min(workers, len(terms)))]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(attach, terms))
+            done = list(pool.map(unit, chunks))
     else:
-        found = [attach(t) for t in terms]
+        done = list(map(unit, chunks))
+    # terms[j] is entry j // workers of chunk j % workers.
+    found = [done[j % workers][j // workers] for j in range(len(terms))]
 
     rates: dict[tuple[int, int], int] = {}
     costs: dict[int, float] = {}

@@ -99,6 +99,17 @@ INVALID_VALUES = {
     ),
 }
 
+# Sizes far past the load caps: without them alg1 ran out of memory in its
+# first search, and the PNWST parser building a zero row of k entries.
+HUGE_NODES = (
+    "PST 1\nk 1\nnodes 100000000\nsource 1\n"
+    "terminal 3 1\nedge 1 2 1\nedge 2 3 1\n"
+)
+HUGE_LEVELS = (
+    "PNWST 1\nk 1000000000\nnodes 3\nsource 1\n"
+    "terminal 3 1\nedge 1 2\nedge 2 3\n"
+)
+
 
 def run_without_asserts(argv):
     """Run the CLI in a ``python -O`` subprocess, which strips asserts."""
@@ -275,6 +286,38 @@ class TestSolve:
             (err,) = captured.err.splitlines()
             assert err.startswith(f"error: line {line}: ")
 
+
+    @pytest.mark.parametrize(
+        "text,solver,err",
+        [
+            (HUGE_NODES, "alg1", "error: line 3: nodes must be at most 1000000\n"),
+            (HUGE_LEVELS, "pnwst", "error: line 2: k must be at most 100\n"),
+        ],
+        ids=["nodes", "k"],
+    )
+    def test_size_cap_is_an_error_line(self, capsys, tmp_path, text, solver, err):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        code = main(["solve", str(path), "--solver", solver])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("solver", ["alg1", "alg2", "pnwst"])
+    def test_worker_count_below_one_is_an_error_line(
+        self, capsys, single_edge_file, solver, workers
+    ):
+        # Checked before the file is read, so even a solver that ignores
+        # the count, or a file of the other flavour, gets this error.
+        code = main(
+            ["solve", single_edge_file, "--solver", solver, "--workers", workers]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
 
     @pytest.mark.parametrize(
         "argv", [["solve", "--solver", "alg1"], ["exact"]], ids=["alg1", "exact"]

@@ -16,6 +16,8 @@ from priority_steiner import (
     validate_instance,
 )
 from priority_steiner.fileio import (
+    MAX_LEVELS,
+    MAX_NODES,
     ParseError,
     format_decomposition,
     parse_instance,
@@ -143,6 +145,37 @@ class TestParseErrors:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_instance("# only a comment\n")
+
+    def test_size_caps_are_inclusive(self):
+        inst = parse_instance(
+            f"PST 1\nk 1\nnodes {MAX_NODES}\nsource 1\nterminal 2 1\nedge 1 2 1\n"
+        )
+        assert inst.graph.n == MAX_NODES
+        inst = parse_instance(
+            f"PNWST 1\nk {MAX_LEVELS}\nnodes 2\nsource 1\nterminal 2 1\nedge 1 2\n"
+        )
+        assert inst.graph.k == MAX_LEVELS
+
+    @pytest.mark.parametrize(
+        "text,message,line",
+        [
+            (
+                f"PST 1\nk 1\nnodes {MAX_NODES + 1}\nsource 1\n",
+                f"nodes must be at most {MAX_NODES}",
+                3,
+            ),
+            (
+                f"PNWST 1\nk {MAX_LEVELS + 1}\nnodes 2\nsource 1\n",
+                f"k must be at most {MAX_LEVELS}",
+                2,
+            ),
+        ],
+        ids=["nodes", "k"],
+    )
+    def test_size_cap_breach_names_its_line(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == f"line {line}: {message}"
 
 
 class TestSolutions:

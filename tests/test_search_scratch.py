@@ -1,9 +1,11 @@
-"""The stopped edge search runs on per-graph, per-thread scratch lists.
+"""The stopped edge search runs on scratch lists its caller owns.
 
-Between searches the lists are all infinite (``dist``) and all zero
-(``parent``), whether the last search returned, found nothing or raised,
-and a search on a graph whose scratch has been used equals one on a fresh
-graph and the plain ``edge_rate_search`` with the same predicate.
+After a search the lists are all infinite (``dist``) and all zero
+(``parent``) again, whether it returned, found nothing or raised, and a
+search on lists that earlier searches used equals one on fresh lists, one
+on a fresh graph and the plain ``edge_rate_search`` with the same
+predicate.  The graph holds no search state, so solvers sharing one graph
+across threads, copies or pickles give the same results.
 """
 
 import copy
@@ -26,19 +28,33 @@ from priority_steiner import (
     gen_random_pst,
     node_rate_search,
 )
-from priority_steiner import paths
-from priority_steiner.paths import stopped_edge_search
+from priority_steiner import paths, pst
+from priority_steiner.paths import search_scratch, stopped_edge_search
 
 
-def assert_clean(graph):
-    dist, parent = graph._search_scratch.lists  # made by the searches run
+def assert_clean(scratch):
+    dist, parent = scratch
     assert all(d == math.inf for d in dist)
     assert not any(parent)
     assert not any(paths._ZEROS)
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every scratch pair the solvers make, to check what their searches
+    left in it."""
+    made = []
+
+    def record(graph):
+        made.append(search_scratch(graph))
+        return made[-1]
+
+    monkeypatch.setattr(pst, "search_scratch", record)
+    return made
+
+
 def fresh_copy(inst):
-    """A fresh copy of ``inst``: a new graph, so no scratch is shared."""
+    """A copy of ``inst`` on a new graph built from its edge list."""
     g = inst.graph
     return PstInstance(
         PriorityGraph(g.n, list(g.edges), g.k),
@@ -68,29 +84,33 @@ def expected(inst, source, rate, stop):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_scratch_is_clean_after_both_solvers(seed):
+def test_scratch_is_clean_after_both_solvers(seed, recorded):
     inst = gen_random_pst(80, 0.08, 3, 0.5, seed)
     attach_by_priority(inst)
-    assert_clean(inst.graph)
     attach_to_higher_priority(inst)
-    assert_clean(inst.graph)
+    attach_to_higher_priority(inst, workers=3)
+    assert len(recorded) == 1 + 1 + 3
+    for scratch in recorded:
+        assert_clean(scratch)
 
 
 @pytest.mark.parametrize("solver", [attach_by_priority, attach_to_higher_priority])
 @pytest.mark.parametrize("seed", [3, 4])
-def test_scratch_is_clean_after_a_disconnected_terminal(solver, seed):
+def test_scratch_is_clean_after_a_disconnected_terminal(solver, seed, recorded):
     inst = split_instance(seed)
     with pytest.raises(ValueError, match="disconnected"):
         solver(inst)
-    assert_clean(inst.graph)
-    fresh = fresh_copy(inst)
+    assert len(recorded) == 1
+    assert_clean(recorded[0])
+    used, fresh = recorded[0], fresh_copy(inst)
     for t, lvl in sorted(inst.terminals.items()):
         stop = {inst.source}.__contains__
-        assert stopped_edge_search(inst, t, lvl, stop) == stopped_edge_search(
-            fresh, t, lvl, stop
+        found = stopped_edge_search(inst, t, lvl, stop, used)
+        assert found == stopped_edge_search(
+            fresh, t, lvl, stop, search_scratch(fresh.graph)
         )
-        assert stopped_edge_search(inst, t, lvl, stop) == expected(inst, t, lvl, stop)
-    assert_clean(inst.graph)
+        assert found == expected(inst, t, lvl, stop)
+    assert_clean(used)
 
 
 def test_scratch_is_clean_after_the_predicate_raises():
@@ -103,9 +123,10 @@ def test_scratch_is_clean_after_the_predicate_raises():
             raise RuntimeError("predicate failed")
         return False
 
+    scratch = search_scratch(inst.graph)
     with pytest.raises(RuntimeError):
-        stopped_edge_search(inst, 2, 1, stop)
-    assert_clean(inst.graph)
+        stopped_edge_search(inst, 2, 1, stop, scratch)
+    assert_clean(scratch)
 
 
 @given(st.integers(0, 10_000))
@@ -113,20 +134,23 @@ def test_scratch_is_clean_after_the_predicate_raises():
 def test_stopped_search_matches_edge_rate_search(seed):
     inst = gen_random_pst(40, 0.1, 3, 0.3, seed)
     targets = set(list(inst.terminals)[: 1 + seed % 4])
+    scratch = search_scratch(inst.graph)
     for t, lvl in sorted(inst.terminals.items()):
         stop = lambda u, t=t: u != t and u in targets  # noqa: E731
-        assert stopped_edge_search(inst, t, lvl, stop) == expected(inst, t, lvl, stop)
-    assert_clean(inst.graph)
+        found = stopped_edge_search(inst, t, lvl, stop, scratch)
+        assert found == expected(inst, t, lvl, stop)
+    assert_clean(scratch)
 
 
 def test_stopped_search_without_a_match_returns_none():
     inst = split_instance(6)
-    assert stopped_edge_search(inst, 32, 2, {1}.__contains__) is None
-    assert_clean(inst.graph)
+    scratch = search_scratch(inst.graph)
+    assert stopped_edge_search(inst, 32, 2, {1}.__contains__, scratch) is None
+    assert_clean(scratch)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
-def test_threads_equal_one_worker_on_a_few_hundred_vertices(seed):
+def test_threads_equal_one_worker_on_a_few_hundred_vertices(seed, recorded):
     # More workers than cores and a short switch interval, so the threads
     # interleave inside their searches; a scratch list shared between
     # threads would corrupt distances or parent chains.
@@ -151,7 +175,9 @@ def test_threads_equal_one_worker_on_a_few_hundred_vertices(seed):
         assert par.solution.rates == seq.solution.rates
         assert par.connection_costs == seq.connection_costs
         assert par.order == seq.order
-    assert_clean(inst.graph)
+    assert len(recorded) == 1 + 4 * 4
+    for scratch in recorded:
+        assert_clean(scratch)
 
 
 def test_negative_weight_is_refused_not_searched():
@@ -171,13 +197,13 @@ def test_negative_price_is_refused_not_searched():
         node_rate_search(inst, 1, 1, prices)
 
 
-def test_copies_and_pickles_get_scratch_of_their_own():
+def test_copies_and_pickles_solve_identically(recorded):
     inst = gen_random_pst(60, 0.1, 3, 0.5, 9)
     first = attach_by_priority(inst)
     for other in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
-        assert other.graph._search_scratch is not inst.graph._search_scratch
         again = attach_by_priority(other)
         assert again.solution.rates == first.solution.rates
         assert again.connection_costs == first.connection_costs
-        assert_clean(other.graph)
-    assert_clean(inst.graph)
+    assert len(recorded) == 3
+    for scratch in recorded:
+        assert_clean(scratch)

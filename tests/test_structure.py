@@ -324,3 +324,42 @@ def test_one_solver_table():
         v.id for table in tables for v in table.values if isinstance(v, ast.Name)
     )
     assert listed == sorted(runners), listed
+
+
+def test_graph_holds_no_search_state():
+    # The stopped search's scratch lists belong to the run that searches,
+    # so a graph shared by threads, copies or worker processes carries no
+    # per-thread state and needs no custom pickling.
+    modules = _modules()
+    nodes = list(ast.walk(modules["instances.py"]))
+    imported = {n.module for n in nodes if isinstance(n, ast.ImportFrom)} | {
+        alias.name for n in nodes if isinstance(n, ast.Import) for alias in n.names
+    }
+    assert "threading" not in imported, imported
+    (graph,) = [
+        node
+        for node in modules["instances.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "PriorityGraph"
+    ]
+    methods = {fn.name for fn in graph.body if isinstance(fn, ast.FunctionDef)}
+    assert not methods & {"__getstate__", "__setstate__"}, methods
+    (search,) = [
+        fn
+        for fn in modules["paths.py"].body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "stopped_edge_search"
+    ]
+    params = {arg.arg for arg in search.args.args}
+    # Bindings of the names themselves; stores into their entries are the
+    # search's own work.
+    sources = [
+        node.value
+        for node in ast.walk(search)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        for name in getattr(target, "elts", [target])
+        if isinstance(name, ast.Name) and name.id in ("dist", "parent")
+    ]
+    assert sources, "stopped_edge_search names no dist or parent list"
+    assert all(
+        isinstance(value, ast.Name) and value.id in params for value in sources
+    ), [ast.unparse(value) for value in sources]
