@@ -1,5 +1,5 @@
 """Time alg1 and alg2 on the ``pst-ladder`` graphs, as library calls and
-through ``psteiner solve --json``.
+through ``psteiner solve --json``, and the load both solve paths share.
 
     PYTHONPATH=src python3 scripts/time_pst_searches.py [--seed N] [--repeats R]
         [--rungs rung1a,rung2a]
@@ -11,11 +11,16 @@ temporary directory.  Each repeat runs, per graph and solver, the library
 call (``attach_by_priority`` or ``attach_to_higher_priority`` on the
 instance parsed once) and then ``cli.main(["solve", file, "--solver", tag,
 "--json"])`` in-process with stdout captured, which parses the file again.
+Each repeat also times, per graph, the ``load`` path: ``load_instance`` on
+the file plus the graph's ``adjacency``, the work the CLI does before it
+searches and the library call does not.
 
 Prints one JSON line per graph, solver and path with the median seconds
 and a sha256 of the output (the library's rates and exact connection
-costs, or the CLI's stdout), then one line per solver and path with the
-median over repeats of the summed seconds.  It fails when a repeat's output
+costs, or the CLI's stdout), one line per graph for ``load`` (solver
+null) with the sha256 of ``write_instance`` of the loaded instance, then
+one line per solver and path, and one for ``load``, with the median over
+repeats of the summed seconds.  It fails when a repeat's output
 differs from the first or the CLI's rates differ from the library's.  Run
 it on two checkouts at one seed and compare the digests to check that a
 change keeps the output.
@@ -74,22 +79,35 @@ def cli_call(path: str, tag: str) -> tuple[float, str, list]:
     return seconds, _digest(out.getvalue()), json.loads(out.getvalue())["rates"]
 
 
+def load_call(path: str) -> tuple[float, str]:
+    start = time.perf_counter()
+    inst = load_instance(path)
+    inst.graph.adjacency
+    seconds = time.perf_counter() - start
+    return seconds, _digest(write_instance(inst))
+
+
 def measure(files: dict, insts: dict, repeats: int) -> tuple[dict, dict]:
-    """Seconds per repeat and the output digest, by (graph, solver, path)."""
+    """Seconds per repeat and the output digest, by (graph, solver, path);
+    the solver is None for ``load``."""
     times = defaultdict(list)
     digests: dict[tuple, str] = {}
+
+    def record(key: tuple, seconds: float, digest: str) -> None:
+        if digests.setdefault(key, digest) != digest:
+            raise SystemExit(f"{' '.join(filter(None, key))}: output changed")
+        times[key].append(seconds)
+
     for _ in range(repeats):
         for rung in files:
+            record((rung, None, "load"), *load_call(files[rung]))
             for tag in SOLVERS:
                 lib = library_call(insts[rung], tag)
                 via_cli = cli_call(files[rung], tag)
                 if lib[2] != via_cli[2]:
                     raise SystemExit(f"{rung} {tag}: the CLI's rates differ")
-                for path, (seconds, digest, _) in (("library", lib), ("cli", via_cli)):
-                    key = (rung, tag, path)
-                    if digests.setdefault(key, digest) != digest:
-                        raise SystemExit(f"{rung} {tag} {path}: output changed")
-                    times[key].append(seconds)
+                record((rung, tag, "library"), *lib[:2])
+                record((rung, tag, "cli"), *via_cli[:2])
     return times, digests
 
 
@@ -119,13 +137,13 @@ def main() -> None:
         row["median_s"] = round(statistics.median(secs), 4)
         row["sha256"] = digests[rung, tag, path]
         print(json.dumps(row))
-    for tag in SOLVERS:
-        for path in ("library", "cli"):
-            runs = zip(*(times[rung, tag, path] for rung in rungs))
-            row = {"solver": tag, "path": path, "graphs": len(rungs)}
-            row["repeats"] = args.repeats
-            row["median_total_s"] = round(statistics.median(map(sum, runs)), 4)
-            print(json.dumps(row))
+    totals = [(tag, path) for tag in SOLVERS for path in ("library", "cli")]
+    for tag, path in totals + [(None, "load")]:
+        runs = zip(*(times[rung, tag, path] for rung in rungs))
+        row = {"solver": tag, "path": path, "graphs": len(rungs)}
+        row["repeats"] = args.repeats
+        row["median_total_s"] = round(statistics.median(map(sum, runs)), 4)
+        print(json.dumps(row))
 
 
 if __name__ == "__main__":

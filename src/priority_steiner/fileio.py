@@ -1,6 +1,11 @@
 """Text formats: instances, solutions, and rate trees.
 
-Instance files are line records with ``#`` comments::
+Every format is line records with ``#`` comments that run to the end of
+the line.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only (``_lines``), so
+the line numbers in errors are the ones ``grep -n`` shows, and a form feed
+or Unicode line separator inside a comment stays comment text.
+
+Instance files::
 
     PST 1            (or: PNWST 1)
     k <int>
@@ -19,7 +24,11 @@ simple graph, weights finite, nonnegative and nondecreasing in the level,
 terminals that are vertices other than the source with levels in 1..k,
 and in PNWST files a free source and terminals free up to their level.
 Connectivity is left to the solvers.  Every error is a
-:class:`ParseError` naming a line.
+:class:`ParseError` naming a line.  The load is one lean pass: a PST
+``edge`` record is split once into its two ends and its weight text, and
+the weight text keys a table of distinct rows, so a row is split, counted
+and parsed only the first time its text appears, and rows of the same
+text share one tuple; vertex ids go through bare ``int`` unless one fails.
 
 Solution files hold one ``rate`` line per selected element: ``rate u-v
 <level>`` for edges, ``rate v <level>`` for vertices, levels in 0..k.
@@ -78,9 +87,19 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _lines(text: str):
+    """(line number, text before any ``#``) of every line of a file, for
+    every format.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; the other
+    breaks ``str.splitlines`` knows are text of their line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for i, raw in enumerate(text.split("\n"), start=1):
+        yield i, raw.partition("#")[0]
+
+
 def _records(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.partition("#")[0].split()
+    for i, body in _lines(text):
+        toks = body.split()
         if toks:
             yield i, toks
 
@@ -110,17 +129,22 @@ def parse_instance(text: str) -> Instance:
     connectivity; the first record that breaks one is reported by line.
     """
     kind = None
+    k = None
     once: dict[str, int] = {}
     terminals: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     edge_rows: list[tuple[float, ...]] = []
     node_rows: dict[int, tuple[float, ...]] = {}
-    # Edge weight rows by their tokens: generated files repeat a few
-    # thousand rows over tens of thousands of edges, and equal tokens parse
-    # to equal floats, so each distinct row is parsed and stored once.
-    parsed_rows: dict[tuple[str, ...], tuple[float, ...]] = {}
+    # Edge weight rows by their text: generated files repeat a few thousand
+    # rows over tens of thousands of edges, and equal text parses to equal
+    # floats, so each distinct row is split, counted and parsed once.
+    parsed_rows: dict[str, tuple[float, ...]] = {}
 
-    for line_no, toks in _records(text):
+    for line_no, body in _lines(text):
+        # Vertex ids and the row text; only a node record needs every token.
+        toks = body.split(None, 3)
+        if not toks:
+            continue
         head = toks[0]
         if kind is None:
             if head not in ("PST", "PNWST"):
@@ -129,10 +153,27 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "unsupported format version")
             kind = head
             continue
-        k = once.get("k")
-        if head in ("edge", "node") and k is None:
-            raise ParseError(line_no, f"{head} before k")
-        if head in ("k", "nodes", "source"):
+        if head == "edge":
+            if k is None:
+                raise ParseError(line_no, "edge before k")
+            if len(toks) < 3:
+                raise ParseError(line_no, "edge takes two vertices")
+            if kind == "PST":
+                spelled = toks[3] if len(toks) == 4 else ""
+                row = parsed_rows.get(spelled)
+                if row is None:
+                    weights = spelled.split()
+                    if len(weights) != k:
+                        raise ParseError(line_no, f"expected {k} edge weights")
+                    row = parsed_rows[spelled] = _weights(line_no, weights)
+                edge_rows.append(row)
+            elif len(toks) > 3:
+                raise ParseError(line_no, "node-weighted edges take no weights")
+            try:
+                edges.append((int(toks[1]), int(toks[2])))
+            except ValueError:
+                edges.append((_int(line_no, toks[1]), _int(line_no, toks[2])))
+        elif head in ("k", "nodes", "source"):
             if len(toks) != 2:
                 raise ParseError(line_no, f"{head} takes one value")
             if head in once:
@@ -143,6 +184,7 @@ def parse_instance(text: str) -> Instance:
             cap = {"nodes": MAX_NODES, "k": MAX_LEVELS}.get(head)
             if cap is not None and once[head] > cap:
                 raise ParseError(line_no, f"{head} must be at most {cap}")
+            k = once.get("k")
         elif head == "terminal":
             if len(toks) != 3:
                 raise ParseError(line_no, "terminal takes vertex and level")
@@ -150,23 +192,12 @@ def parse_instance(text: str) -> Instance:
             if t in terminals:
                 raise ParseError(line_no, f"terminal {t} declared twice")
             terminals[t] = _int(line_no, toks[2])
-        elif head == "edge":
-            if len(toks) < 3:
-                raise ParseError(line_no, "edge takes two vertices")
-            if kind == "PST":
-                if len(toks) != 3 + k:
-                    raise ParseError(line_no, f"expected {k} edge weights")
-                key = tuple(toks[3:])
-                row = parsed_rows.get(key)
-                if row is None:
-                    row = parsed_rows[key] = _weights(line_no, toks[3:])
-                edge_rows.append(row)
-            elif len(toks) > 3:
-                raise ParseError(line_no, "node-weighted edges take no weights")
-            edges.append((_int(line_no, toks[1]), _int(line_no, toks[2])))
         elif head == "node":
+            if k is None:
+                raise ParseError(line_no, "node before k")
             if kind != "PNWST":
                 raise ParseError(line_no, "node lines are for PNWST files")
+            toks = body.split()
             if len(toks) != 2 + k:
                 raise ParseError(line_no, f"expected {k} node weights")
             v = _int(line_no, toks[1])

@@ -52,10 +52,19 @@ class PriorityGraph:
             raise ValueError("vertex count must be positive")
         if self.k < 1:
             raise ValueError("at least one priority level is required")
-        self.edges = [canonical_edge(u, v) for (u, v) in self.edges]
-        for (u, v) in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u},{v}) references unknown vertex")
+        # A tuple already in order is kept, not rebuilt; every pair is then
+        # (low, high), so one min and one max check every end.
+        edges = self.edges = [
+            e if type(e) is tuple and e[0] <= e[1] else canonical_edge(*e)
+            for e in self.edges
+        ]
+        if edges and not (
+            1 <= min(map(operator.itemgetter(0), edges))
+            and max(map(operator.itemgetter(1), edges)) <= self.n
+        ):
+            for (u, v) in edges:
+                if not (1 <= u <= self.n and 1 <= v <= self.n):
+                    raise ValueError(f"edge ({u},{v}) references unknown vertex")
         self._adj: Optional[list[list[tuple[int, int]]]] = None
         self._edge_index: Optional[dict[tuple[int, int], int]] = None
 
@@ -95,7 +104,7 @@ def _init_rows(inst, rows: Sequence, count: int, element: str) -> None:
         raise ValueError("source out of range")
     if len(rows) != count:
         raise ValueError(f"one weight row per {element} is required")
-    if any(len(row) != inst.graph.k for row in rows):
+    if set(map(len, rows)) - {inst.graph.k}:
         raise ValueError("weight rows must have one entry per level")
     inst._columns = {}
 
@@ -261,16 +270,21 @@ def _faults(inst: Instance) -> list[tuple[tuple[str, int], str]]:
             if g.edge_index[(u, v)] != eid:
                 out.append((("edge", eid), f"duplicate edge ({u},{v})"))
 
-    # Chained over the level columns, one comparison per weight finds every
-    # bad row; NaN fails each comparison it takes part in.
+    # Chained over the level columns of the distinct rows (equal rows break
+    # the same rules, and generated tables repeat rows), one comparison per
+    # weight finds every bad row; NaN fails each comparison it takes part in.
     pst = isinstance(inst, PstInstance)
     rows = inst.edge_weights if pst else inst.vertex_weights
-    chain = [[0.0] * len(rows), *zip(*rows), [sys.float_info.max] * len(rows)]
-    bad: set[int] = set()
+    distinct = list(dict.fromkeys(rows))
+    size = len(distinct)
+    chain = [[0.0] * size, *zip(*distinct), [sys.float_info.max] * size]
+    bad = set()
     for lo, hi in zip(chain, chain[1:]):
         if not all(map(operator.le, lo, hi)):
-            bad.update(i for i, ok in enumerate(map(operator.le, lo, hi)) if not ok)
-    for i in sorted(bad):
+            oks = map(operator.le, lo, hi)
+            bad.update(row for row, ok in zip(distinct, oks) if not ok)
+    flagged = [i for i, row in enumerate(rows) if row in bad] if bad else []
+    for i in flagged:
         row = rows[i]
         key = ("edge", i) if pst else ("node", i + 1)
         where = "edge ({},{})".format(*g.edges[i]) if pst else f"vertex {i + 1}"

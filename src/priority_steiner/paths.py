@@ -17,10 +17,12 @@ one shared read-only column, ``_zeros``, never built per call.
 
 ``stopped_edge_search`` is the edge search that ends at the first vertex
 satisfying a predicate, as the attachment solvers run it once per
-terminal.  It settles a few dozen vertices of thousands, so it allocates
-nothing of the graph's size: the caller passes its ``dist`` and
-``parent`` lists, made once by ``search_scratch`` for a whole run of
-searches, all infinite and all zero on entry.  The loop appends every
+terminal.  Every stopped search, edge or node, pushes nothing past the
+cheapest target it has pushed (``_dijkstra`` proves the answer the same),
+so it also writes nothing past it.  It settles a few dozen vertices of
+thousands, so it allocates nothing of the graph's size: the caller passes
+its ``dist`` and ``parent`` lists, made once by ``search_scratch`` for a
+whole run of searches, all infinite and all zero on entry.  The loop appends every
 vertex it lowers to a touched list, and the search reads its answer and
 then resets exactly the touched entries, also when it raises, so the
 lists are clean for the caller's next search.  The graph holds no search
@@ -108,8 +110,10 @@ def _dijkstra(
     every cost must be nonnegative, as the instance model's weights are (a
     negative one would break the proof below, and the search might not
     end).  When ``stop`` is given the search halts
-    right after settling the first vertex satisfying it; remaining
-    distances stay at their tentative values.
+    right after settling the first vertex satisfying it, a target; the
+    remaining distances stay at their tentative values, or infinite where
+    a push was skipped.  ``stop`` must be a pure predicate of the vertex
+    for the length of one search: it is asked at pushes as well as pops.
 
     Given ``dist``, the run updates a finished search in place: ``dist``
     holds its exact distances, ``vertex_cost`` is lower than that search's
@@ -131,6 +135,26 @@ def _dijkstra(
     it.  Distances, parents and the settling order are those of the search
     with flags.  Entries popped above their vertex's distance are stale
     and skipped.
+
+    A stopped search pushes nothing past its best target: ``bound`` is the
+    smallest key yet pushed for a target, and a lowering to a key strictly
+    above it is skipped, neither written nor pushed.  Let d* be the key at
+    which the search without the bound stops.  In that search every key
+    pushed for a target is at least d*: a target's lowest pushed key pops
+    before its others and settles it, so one below d* would have stopped
+    the search first.  So no relaxation at a key of at most d* is skipped,
+    ``bound`` never drops below d*, and only keys above d* are skipped.
+    No entry with a key at or below d* changes: it comes from such a
+    relaxation, whose ``nd < dist[v]`` test agrees in both searches, since
+    a distance at or below d* is written by such relaxations alone, and
+    one above d*, or infinity, is above ``nd`` in both.  Entries above d*
+    never pop before the stop.  So both searches pop the same entries up
+    to the stop, in the same order, and stop at the same target with the
+    same distances and parents along its path.  The test is strictly
+    greater, so a tie at the bound survives: on zero-weight edges a tied
+    target of smaller id, or a tied parent, pops as it would without the
+    bound.  A full search keeps ``bound`` infinite and pays one comparison
+    per lowered vertex.
     """
     n = len(adj) - 1
     if dist is None:
@@ -142,6 +166,7 @@ def _dijkstra(
     heap: list[tuple[float, int]] = []
     for s in sources:
         heappush(heap, (dist[s], s))
+    bound = math.inf
     while heap:
         d, u = heappop(heap)
         if d > dist[u]:
@@ -152,11 +177,15 @@ def _dijkstra(
         for v, eid in adj[u]:
             nd = du + edge_cost[eid]
             if nd < dist[v]:
+                if nd > bound:
+                    continue
                 dist[v] = nd
                 parent[v] = u
                 heappush(heap, (nd, v))
                 if touched is not None:
                     touched.append(v)
+                if stop is not None and stop(v):
+                    bound = nd
     return dist, parent, None
 
 
@@ -169,8 +198,10 @@ def edge_rate_search(
     """Multi-source Dijkstra with every edge priced at the given level.
 
     When ``stop`` is given the search halts right after settling the first
-    vertex satisfying it (recorded as ``stopped_at``); remaining distances
-    stay at their tentative values.
+    vertex satisfying it (recorded as ``stopped_at``); the distances and
+    parents of that vertex's path are exact, and the other unsettled
+    distances stay at their tentative values or may stay infinite, since
+    the search pushes nothing past its best target (see ``_dijkstra``).
     """
     srcs = tuple(sorted(set(sources)))
     if not srcs:
@@ -234,7 +265,9 @@ def node_rate_search(
 
     ``prices[y]`` is what an interior vertex y costs, by vertex id with
     entry 0 unused; by default it is y's weight at the level.  The column
-    is read, never modified, and must be nonnegative.
+    is read, never modified, and must be nonnegative.  Given ``stop``, the
+    search halts as ``edge_rate_search`` does: the stopped vertex's path is
+    exact, and other unsettled distances may stay infinite.
     """
     cost = list(inst._level_column(rate) if prices is None else prices)
     cost[source] = 0.0

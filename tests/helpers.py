@@ -11,6 +11,9 @@ the same choices; its residual search prices come from
 every (root, level) pair afresh in every iteration; the run that keeps its
 searches and lowers them in place is held to its exact report under either
 charging mode.
+``reference_stopped_search`` is a textbook Dijkstra stopped at the first
+settled target, with settled flags and no bound on what it pushes, against
+which the library's bounded stopped searches are held.
 ``reference_closure_mst`` is the library's earlier metric-closure Steiner
 approximation, one full search per terminal, against which the Voronoi
 bridge construction is held to the same MST weight.
@@ -24,6 +27,7 @@ after every cut; the spider layer is held to their exact output.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from typing import Optional
@@ -105,6 +109,39 @@ def enum_node_path_cost(
 
     walk(start, {start}, 0.0)
     return best
+
+
+def reference_stopped_search(adj, source: int, step_cost, stop):
+    """Textbook Dijkstra from ``source``, stopped when it settles a vertex
+    satisfying ``stop``; (that vertex, its cost, the path from ``source``),
+    or None when it settles every reachable vertex without one.
+
+    A heap of (distance, vertex), so equal distances pop in vertex order; a
+    step relaxes only on a strictly smaller distance; ``stop`` is asked at
+    pop; settled vertices are flagged; every relaxation is pushed.  Stepping
+    from u over edge e costs ``step_cost(u, e)``, added to u's distance.
+    """
+    dist = {source: 0.0}
+    parent = {source: None}
+    settled = set()
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        if stop(u):
+            path = [u]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return u, d, path[::-1]
+        for v, eid in adj[u]:
+            nd = d + step_cost(u, eid)
+            if v not in settled and nd < dist.get(v, math.inf):
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return None
 
 
 def enum_best_assignment(inst, tree_edges) -> float:

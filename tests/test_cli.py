@@ -146,7 +146,30 @@ def run(capsys, argv):
     return code, out
 
 
+_PROBE = "PST 1\nk 1\nnodes 3\nsource 1\nterminal 3 1\nedge 1 2 3\nedge 2 3 1\n"
+
+
 class TestSolve:
+    @pytest.mark.parametrize(
+        "line_no,line",
+        [(2, "# note\u2028 continued"), (6, "edge 1 2 3 # a\x0cb")],
+        ids=["line-separator", "form-feed"],
+    )
+    def test_comment_holding_a_break_is_ignored(self, capsys, tmp_path, line_no, line):
+        lines = _PROBE.split("\n")
+        if line.startswith("#"):
+            lines.insert(line_no - 1, line)
+        else:
+            lines[line_no - 1] = line
+        probe, clean = tmp_path / "probe.pst", tmp_path / "clean.pst"
+        probe.write_bytes("\n".join(lines).encode("utf-8"))
+        clean.write_text(_PROBE)
+        outputs = [
+            run(capsys, ["solve", str(f), "--solver", "alg1"]) for f in (probe, clean)
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
     def test_single_edge_weight_three(self, capsys, single_edge_file):
         code, out = run(capsys, ["solve", single_edge_file, "--solver", "alg1"])
         assert code == 0

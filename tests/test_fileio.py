@@ -251,6 +251,58 @@ class TestRateTrees:
             parse_rate_tree("RATETREE 1\nroot 1\nedge 1 2\nvertex 1 1\n")
 
 
+# Breaks str.splitlines() ends a line at beside \n, \r\n and \r.
+_OTHER_BREAKS = ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"]
+_PROBE = "PST 1\nk 1\nnodes 3\nsource 1\nterminal 3 1\nedge 1 2 3\nedge 2 3 1\n"
+
+
+class TestLineBreaks:
+    """A line ends at \\n, \\r\\n or \\r only, in every file format."""
+
+    @pytest.mark.parametrize("brk", _OTHER_BREAKS)
+    def test_comment_on_its_own_line_holds_a_break(self, brk):
+        lines = _PROBE.split("\n")
+        lines.insert(1, f"# note{brk} continued")
+        inst = parse_instance("\n".join(lines))
+        assert write_instance(inst) == _PROBE
+
+    @pytest.mark.parametrize("brk", _OTHER_BREAKS)
+    def test_trailing_comment_holds_a_break(self, brk):
+        text = _PROBE.replace("edge 1 2 3\n", f"edge 1 2 3 # a{brk}b\n")
+        assert text.split("\n")[5] == f"edge 1 2 3 # a{brk}b"
+        assert write_instance(parse_instance(text)) == _PROBE
+
+    @pytest.mark.parametrize("brk", _OTHER_BREAKS)
+    def test_bad_record_after_such_a_comment_names_its_grep_line(self, brk):
+        text = (
+            f"PST 1\n# note{brk} continued\nk 1\nnodes 3 # a{brk}b\n"
+            "source 1\nbogus 2\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == "line 6: unknown record 'bogus'"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_carriage_returns_still_end_lines(self, end):
+        assert write_instance(parse_instance(_PROBE.replace("\n", end))) == _PROBE
+        with pytest.raises(ParseError) as err:
+            parse_instance((_PROBE + "bogus 1\n").replace("\n", end))
+        assert err.value.line_no == 8
+
+    def test_solution_and_rate_tree_comments_hold_breaks(self):
+        inst = parse_instance(_PROBE)
+        text = "rate 1-2 1 # a\x0cb\n# x\u2028rate 2-3 1\nrate 2-3 1\n"
+        sol = parse_solution(text, inst)
+        assert sol.rates == {(1, 2): 1, (2, 3): 1}
+        tree = parse_rate_tree(
+            "RATETREE 1\nroot 1 # r\x85oot 2\nvertex 1 1\nvertex 2 1\nedge 1 2\n"
+        )
+        assert (tree.root, tree.edges) == (1, ((1, 2),))
+        with pytest.raises(ParseError) as err:
+            parse_rate_tree("RATETREE 1\n# a\x1cb\nroot 1\nvertex 1 1\nbogus 1 2\n")
+        assert err.value.line_no == 5
+
+
 def _rebuild(inst, edges=None, rows=None, terminals=None):
     """A copy of inst with its edges, weight rows or terminals replaced."""
     g = inst.graph

@@ -15,9 +15,14 @@ from priority_steiner import (
     node_rate_search,
 )
 
-from priority_steiner.paths import _dijkstra
+from priority_steiner.paths import _dijkstra, search_scratch, stopped_edge_search
 
-from helpers import enum_edge_path_cost, enum_node_path_cost, residual_prices
+from helpers import (
+    enum_edge_path_cost,
+    enum_node_path_cost,
+    reference_stopped_search,
+    residual_prices,
+)
 
 
 def triangle(scale=1.0):
@@ -192,3 +197,52 @@ class TestProperties:
             seeds = [v for v in fell if dist[v] < math.inf]
             _dijkstra(adj, seeds, cost, edges, None, dist)
             assert dist == _dijkstra(adj, sources, cost, edges, None)[0]
+
+
+# Weights drawn mostly from zero, so that many paths tie: a search that
+# dropped a push at a key equal to its bound would stop elsewhere or keep
+# another parent.
+_TIE_WEIGHTS = st.sampled_from([0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    rows = st.tuples(_TIE_WEIGHTS, _TIE_WEIGHTS).map(lambda ab: (ab[0], ab[0] + ab[1]))
+    edge_rows = draw(st.lists(rows, min_size=len(edges), max_size=len(edges)))
+    vertex_rows = draw(st.lists(rows, min_size=n, max_size=n))
+    targets = draw(st.sets(st.integers(1, n), max_size=n))
+    g = PriorityGraph(n, edges, 2)
+    pst = PstInstance(g, 1, {}, edge_rows)
+    pnwst = PnwstInstance(g, 1, {}, vertex_rows)
+    return pst, pnwst, targets
+
+
+@given(tie_heavy_instances())
+@settings(max_examples=150, deadline=None)
+def test_stopped_searches_match_a_textbook_search(case):
+    # The stopped searches push nothing past their best target; the
+    # reference pushes every relaxation.  Vertex, cost and path agree.
+    pst, pnwst, targets = case
+    adj, n = pst.graph.adjacency, pst.graph.n
+    scratch = search_scratch(pst.graph)
+    stop = targets.__contains__
+    for rate in range(3):
+        edge_cost = pst._level_column(rate)
+        for s in range(1, n + 1):
+            want = reference_stopped_search(adj, s, lambda u, e: edge_cost[e], stop)
+            assert stopped_edge_search(pst, s, rate, stop, scratch) == want
+            res = edge_rate_search(pst, [s], rate, stop=stop)
+            u = res.stopped_at
+            assert (None if u is None else (u, res.dist[u], res.path_to(u))) == want
+            price = pnwst._level_column(rate)
+            for v in range(1, n + 1):
+                want = reference_stopped_search(
+                    adj, s, lambda u, e: 0.0 if u == s else price[u], v.__eq__
+                )
+                res = node_rate_search(pnwst, s, rate, stop=v.__eq__)
+                u = res.stopped_at
+                got = None if u is None else (u, res.dist[u], res.path_to(u))
+                assert got == want
