@@ -6,10 +6,12 @@ Each terminal count |T| in ``--sizes`` gets one ``gen_random_pnwst`` graph
 with seed ``SEED`` and k=3 (|T|=40: n=150, m=600; |T|=80: n=300, m=1200;
 |T|=120: n=400, m=1600).  ``greedy_merge`` runs once per charging mode, and
 each run prints one JSON line: wall seconds, fresh node searches run,
-update runs (kept searches lowered in place where a charge fell), merges
-and solution weight.  Both are counted by wrapping the names the solver calls:
-``pnwst.node_rate_search`` for fresh searches and ``pnwst._dijkstra`` for
-update runs.
+update runs (kept searches lowered in place where a charge fell), path
+recoveries (searches stopped at the winning center, one per tree joined),
+merges and solution weight.  All three are counted by wrapping the names
+the solver calls: ``pnwst.node_rate_search`` for fresh searches,
+``pnwst._dijkstra`` for update runs and ``pnwst.stopped_search`` for
+recoveries.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from priority_steiner import gen_random_pnwst, greedy_merge, pnwst, solution_wei
 
 LADDER = {40: (150, 600), 80: (300, 1200), 120: (400, 1600)}
 SEED = 7
-COUNTED = ("node_rate_search", "_dijkstra")
+COUNTED = ("node_rate_search", "_dijkstra", "stopped_search")
 
 
 def time_run(inst, charging: str) -> dict:
@@ -48,6 +50,7 @@ def time_run(inst, charging: str) -> dict:
         "seconds": round(seconds, 3),
         "searches": calls["node_rate_search"],
         "updates": calls["_dijkstra"],
+        "recoveries": calls["stopped_search"],
         "merges": len(rep.per_iteration),
         "weight": solution_weight(inst, rep.solution),
     }

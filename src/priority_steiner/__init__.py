@@ -20,7 +20,7 @@ from .instances import (
     subdivide_to_node_weighted,
     validate_instance,
 )
-from .paths import PathResult, edge_rate_search, node_rate_search, stopped_edge_search
+from .paths import PathResult, edge_rate_search, node_rate_search, stopped_search
 from .pst import (
     PstRunReport,
     attach_by_priority,
@@ -28,7 +28,6 @@ from .pst import (
     best_of,
     per_level_union,
     remove_cycles,
-    steiner_mst_approx,
 )
 from .pnwst import (
     IterationRecord,
@@ -55,7 +54,6 @@ from .oracle import (
     OracleResult,
     exact_pnwst,
     exact_pst,
-    exact_steiner,
 )
 from .generators import (
     GeneratorSpec,

@@ -191,25 +191,6 @@ class PnwstInstance:
 Instance = Union[PstInstance, PnwstInstance]
 
 
-def _single_rate_instance(
-    graph: PriorityGraph, terminals: Iterable[int], weights: Sequence[float]
-) -> PstInstance:
-    """One-level instance joining a terminal set under per-edge weights.
-
-    The smallest terminal is the source and the others are level-1
-    terminals, so every tree spanning the set is feasible at rate 1.
-    """
-    terms = sorted(terminals)
-    if not terms:
-        raise ValueError("at least one terminal is required")
-    return PstInstance(
-        PriorityGraph(graph.n, list(graph.edges), 1),
-        terms[0],
-        {t: 1 for t in terms[1:]},
-        [(float(w),) for w in weights],
-    )
-
-
 @dataclass(frozen=True)
 class EdgeRateSolution:
     """Level assignment to edges; pairs with level 0 are dropped."""

@@ -30,12 +30,10 @@ from .instances import (
     EdgeRateSolution,
     Instance,
     PnwstInstance,
-    PriorityGraph,
     PstInstance,
     Solution,
     VertexRateSolution,
     _raise_to_subtree_max,
-    _single_rate_instance,
     forced_rates,
     solution_weight,
 )
@@ -200,16 +198,4 @@ def exact_pnwst(
     zeros = (0.0,) * g.k
     return _exact_search(
         inst, [zeros] * g.m, [zeros, *inst.vertex_weights], _PNWST_DISCONNECTED
-    )
-
-
-def exact_steiner(
-    graph: PriorityGraph,
-    terminals: set[int],
-    weights: list[float],
-    max_edges: int = DEFAULT_MAX_EDGES,
-) -> OracleResult:
-    """Exact minimum-weight tree spanning the terminal set at one rate."""
-    return exact_pst(
-        _single_rate_instance(graph, terminals, weights), max_edges=max_edges
     )

@@ -15,14 +15,17 @@ zero edge costs.  The column is the level's weights unless the caller
 passes another, such as the merge scan's residual charges.  The zeros are
 one shared read-only column, ``_zeros``, never built per call.
 
-``stopped_edge_search`` is the edge search that ends at the first vertex
-satisfying a predicate, as the attachment solvers run it once per
-terminal.  Every stopped search, edge or node, pushes nothing past the
-cheapest target it has pushed (``_dijkstra`` proves the answer the same),
-so it also writes nothing past it.  It settles a few dozen vertices of
-thousands, so it allocates nothing of the graph's size: the caller passes
-its ``dist`` and ``parent`` lists, made once by ``search_scratch`` for a
-whole run of searches, all infinite and all zero on entry.  The loop appends every
+``stopped_search`` is the one search that ends at the first vertex
+satisfying a predicate, in either flavour: the attachment solvers run it
+once per terminal with zero vertex costs and a level's edge weights, and
+the merge scan once per path it recovers with a charge column and zero
+edge costs.  The source's own vertex cost is never charged, as in the node
+search.  Every stopped search pushes nothing past the cheapest target it
+has pushed (``_dijkstra`` proves the answer the same), so it also writes
+nothing past it.  It settles a few dozen vertices of thousands, so it
+allocates nothing of the graph's size: the caller passes its ``dist`` and
+``parent`` lists, made once by ``search_scratch`` for a whole run of
+searches, all infinite and all zero on entry.  The loop appends every
 vertex it lowers to a touched list, and the search reads its answer and
 then resets exactly the touched entries, also when it raises, so the
 lists are clean for the caller's next search.  The graph holds no search
@@ -59,14 +62,12 @@ class PathResult:
     """Distances and predecessor tree of one rate-restricted search.
 
     ``dist`` and ``parent`` are indexed by vertex id (entry 0 unused);
-    parent is 0 at sources and at unreached vertices.  ``stopped_at`` is the
-    vertex that satisfied an early-exit predicate, if one was given and hit.
+    parent is 0 at sources and at unreached vertices.
     """
 
     dist: list[float]
     parent: list[int]
     sources: tuple[int, ...]
-    stopped_at: Optional[int] = None
 
     def path_to(self, v: int) -> list[int]:
         """Vertex sequence from the reaching source to v."""
@@ -190,60 +191,57 @@ def _dijkstra(
 
 
 def edge_rate_search(
-    inst: PstInstance,
-    sources: Iterable[int],
-    rate: int,
-    stop: Optional[Callable[[int], bool]] = None,
+    inst: PstInstance, sources: Iterable[int], rate: int
 ) -> PathResult:
-    """Multi-source Dijkstra with every edge priced at the given level.
-
-    When ``stop`` is given the search halts right after settling the first
-    vertex satisfying it (recorded as ``stopped_at``); the distances and
-    parents of that vertex's path are exact, and the other unsettled
-    distances stay at their tentative values or may stay infinite, since
-    the search pushes nothing past its best target (see ``_dijkstra``).
-    """
+    """Multi-source Dijkstra with every edge priced at the given level."""
     srcs = tuple(sorted(set(sources)))
     if not srcs:
         raise ValueError("at least one source is required")
-    dist, parent, stopped = _dijkstra(
+    dist, parent, _ = _dijkstra(
         inst.graph.adjacency,
         srcs,
         _zeros(inst.graph.n + 1),
         inst._level_column(rate),
-        stop,
+        None,
     )
-    return PathResult(dist, parent, srcs, stopped)
+    return PathResult(dist, parent, srcs)
 
 
 def search_scratch(graph: PriorityGraph) -> tuple[list[float], list[int]]:
-    """A clean (dist, parent) pair for ``stopped_edge_search`` on ``graph``."""
+    """A clean (dist, parent) pair for ``stopped_search`` on ``graph``."""
     return [math.inf] * (graph.n + 1), [0] * (graph.n + 1)
 
 
-def stopped_edge_search(
-    inst: PstInstance,
+def stopped_search(
+    graph: PriorityGraph,
     source: int,
-    rate: int,
+    vertex_cost: list[float],
+    edge_cost: list[float],
     stop: Callable[[int], bool],
     scratch: tuple[list[float], list[int]],
 ) -> Optional[tuple[int, float, list[int]]]:
-    """The cheapest path at the given level from ``source`` to the first
-    vertex satisfying ``stop``, as (that vertex, path cost, path from
-    ``source``), or None when no reachable vertex satisfies it.
+    """The cheapest path from ``source`` to the first vertex satisfying
+    ``stop``, as (that vertex, path cost, path from ``source``), or None
+    when no reachable vertex satisfies it.
 
-    The same search as ``edge_rate_search(inst, [source], rate, stop)``, on
-    the caller's ``scratch`` lists from ``search_scratch``: the answer is
-    read off them, and the entries the search touched are reset before it
-    returns or raises, so the lists are clean for the next search.
+    Stepping from u over edge e costs ``vertex_cost[u] + edge_cost[e]``,
+    both columns read, never modified, and nonnegative; the source's own
+    vertex cost is never charged.  The search runs on the caller's
+    ``scratch`` lists from ``search_scratch``: the answer is read off them,
+    and the entries the search touched are reset before it returns or
+    raises, so the lists are clean for the next search.  The distances and
+    parents of the answer's path are those of the full search.
     """
+    if vertex_cost[source]:  # nonzero only outside the instance model
+        vertex_cost = list(vertex_cost)
+        vertex_cost[source] = 0.0
     dist, parent = scratch
     touched = [source]
     dist[source] = 0.0
     try:
-        zero, cost = _zeros(inst.graph.n + 1), inst._level_column(rate)
+        adj = graph.adjacency
         _, _, u = _dijkstra(
-            inst.graph.adjacency, (source,), zero, cost, stop, dist, parent, touched
+            adj, (source,), vertex_cost, edge_cost, stop, dist, parent, touched
         )
         if u is None:
             return None
@@ -259,21 +257,18 @@ def node_rate_search(
     source: int,
     rate: int,
     prices: Optional[list[float]] = None,
-    stop: Optional[Callable[[int], bool]] = None,
 ) -> PathResult:
     """Single-source search under interior vertex prices at the given level.
 
     ``prices[y]`` is what an interior vertex y costs, by vertex id with
     entry 0 unused; by default it is y's weight at the level.  The column
-    is read, never modified, and must be nonnegative.  Given ``stop``, the
-    search halts as ``edge_rate_search`` does: the stopped vertex's path is
-    exact, and other unsettled distances may stay infinite.
+    is read, never modified, and must be nonnegative.
     """
     cost = list(inst._level_column(rate) if prices is None else prices)
     cost[source] = 0.0
     if not min(cost) >= 0.0:  # a search could loop for ever (see _dijkstra)
         raise ValueError("vertex prices must be nonnegative")
-    dist, parent, stopped = _dijkstra(
-        inst.graph.adjacency, (source,), cost, _zeros(inst.graph.m), stop
+    dist, parent, _ = _dijkstra(
+        inst.graph.adjacency, (source,), cost, _zeros(inst.graph.m), None
     )
-    return PathResult(dist, parent, (source,), stopped)
+    return PathResult(dist, parent, (source,))

@@ -44,7 +44,7 @@ from .instances import (
     canonical_edge,
     forced_rates,
 )
-from .paths import _dijkstra, _zeros, node_rate_search
+from .paths import _dijkstra, _zeros, node_rate_search, search_scratch, stopped_search
 
 _DISCONNECTED = "no finite merge: terminal set is disconnected"
 
@@ -323,12 +323,15 @@ def minimize_merge_ratio(
     if best is None:
         raise ValueError(_DISCONNECTED)
     score, total, h, r, v, b, sel = best
+    scratch, zero = search_scratch(inst.graph), _zeros(inst.graph.m)
 
     def path_to_center(root: int, lvl: int) -> tuple[int, ...]:
         # A search stopped at v has settled v's whole path, so its parent
-        # chain is that of the full search.
-        found = node_rate_search(inst, root, lvl, charges[lvl], stop=v.__eq__)
-        return tuple(found.path_to(v))
+        # chain is that of the full search.  v scored finite, so it is found.
+        _, _, path = stopped_search(
+            inst.graph, root, charges[lvl], zero, v.__eq__, scratch
+        )
+        return tuple(path)
 
     path_rv = path_to_center(r, b)
     paths = tuple(path_to_center(r2, level_of[r2]) for r2 in sel)

@@ -33,12 +33,11 @@ from .instances import (
     PriorityGraph,
     PstInstance,
     _DisjointSets,
-    _single_rate_instance,
     canonical_edge,
     forced_rates,
     solution_weight,
 )
-from .paths import PathResult, edge_rate_search, search_scratch, stopped_edge_search
+from .paths import PathResult, _zeros, edge_rate_search, search_scratch, stopped_search
 
 # An attachment search that ends without reaching its target (the tree, or
 # a higher-priority vertex, which the source always is) has exhausted a
@@ -71,9 +70,9 @@ def remove_cycles(
 
     Keeps a maximum-rate spanning forest of the positive-rate edges: an edge
     survives over a cycle-mate when it has the higher rate, then the lower
-    weight at its own rate, then the smaller edge id.  Edges left outside
-    the source component are dropped, then rates are recomputed as the
-    minimal feasible assignment on the remaining tree.
+    weight at its own rate, then the smaller edge id.  Rates are then
+    recomputed as the minimal feasible assignment on the forest, which
+    drops every edge the source does not reach.
     """
     idx = inst.graph.edge_index
     entries = []
@@ -88,9 +87,6 @@ def remove_cycles(
     entries.sort()
     ds = _DisjointSets(inst.graph.n)
     kept = [pair for (_, _, _, pair) in entries if ds.union(*pair)]
-
-    src_root = ds.find(inst.source)
-    kept = [p for p in kept if ds.find(p[0]) == src_root]
     return forced_rates(inst, kept)
 
 
@@ -118,7 +114,10 @@ def _attach(
 ) -> tuple[int, float, list[int]]:
     # The cheapest path at t's level from t to the first vertex satisfying
     # stop, as (that vertex, path cost, path from t), on the caller's lists.
-    found = stopped_edge_search(inst, t, inst.terminals[t], stop, scratch)
+    g, lvl = inst.graph, inst.terminals[t]
+    found = stopped_search(
+        g, t, _zeros(g.n + 1), inst._level_column(lvl), stop, scratch
+    )
     if found is None:
         raise ValueError(_DISCONNECTED)
     return found
@@ -250,28 +249,14 @@ def _voronoi_tree(
     return tree
 
 
-def steiner_mst_approx(
-    graph: PriorityGraph, terminals: set[int], weights: list[float]
-) -> list[tuple[int, int]]:
-    """Mehlhorn's Steiner approximation at a single rate, as sorted edges.
-
-    One multi-source search from the terminals splits the graph into
-    Voronoi regions; the MST over the edges bridging two regions, keyed by
-    dist + weight + dist, weighs exactly as much as the metric-closure MST,
-    so the tree (bridges plus their search paths) is within 2(1 - 1/l) of
-    the optimal Steiner tree over the l terminals.  Raises ``ValueError``
-    when the terminals are disconnected.
-    """
-    inst = _single_rate_instance(graph, terminals, weights)
-    return sorted(_voronoi_tree(inst, terminals, 1))
-
-
 def per_level_union(inst: PstInstance) -> PstRunReport:
     """Union of one single-rate Steiner approximation per priority level.
 
     Level i's tree spans the level-i terminals and the source under the
     level-i weights; shared edges take the highest contributing level.
-    The result weighs at most 2k times the optimum.
+    The result weighs at most 2k times the optimum.  At k = 1 it solves
+    single-rate Steiner over the source and the terminals, within
+    2(1 - 1/l) of the optimum over l vertices.
     """
     rates: dict[tuple[int, int], int] = {}
     for lvl in range(1, inst.graph.k + 1):

@@ -16,7 +16,8 @@ settled target, with settled flags and no bound on what it pushes, against
 which the library's bounded stopped searches are held.
 ``reference_closure_mst`` is the library's earlier metric-closure Steiner
 approximation, one full search per terminal, against which the Voronoi
-bridge construction is held to the same MST weight.
+bridge construction is held to the same MST weight.  It runs on a
+single-rate instance, PST with k = 1, as ``single_rate_instance`` builds one.
 ``reference_check_feasible`` is the library's earlier feasibility check,
 which walked each terminal's path to the source; ``check_feasible`` is held
 to its verdicts and its structural messages.  ``reference_marked_optimize``
@@ -35,6 +36,7 @@ from typing import Optional
 from priority_steiner import (
     EdgeRateSolution,
     PnwstInstance,
+    PriorityGraph,
     PstInstance,
     VertexRateSolution,
     check_feasible,
@@ -44,7 +46,6 @@ from priority_steiner.generators import StableRng
 from priority_steiner.instances import (
     _DisjointSets,
     _raise_to_subtree_max,
-    _single_rate_instance,
     _tree_parents,
     canonical_edge,
     forced_rates,
@@ -347,15 +348,27 @@ def random_rate_tree(n: int, k: int, seed: int) -> tuple[RateTree, set[int]]:
     return marked_optimize(tree, marked), marked
 
 
-def reference_closure_mst(
-    graph, terminals: set[int], weights: list[float]
-) -> tuple[float, list[tuple[int, int]]]:
-    """The earlier metric-closure MST approximation: (closure MST total, tree).
+def single_rate_instance(graph, terminals, weights) -> PstInstance:
+    """Single-rate Steiner over a terminal set as PST with k = 1: the
+    smallest terminal is the source and the others are level-1 terminals,
+    so every tree spanning the set is feasible at rate 1."""
+    terms = sorted(terminals)
+    return PstInstance(
+        PriorityGraph(graph.n, list(graph.edges), 1),
+        terms[0],
+        {t: 1 for t in terms[1:]},
+        [(float(w),) for w in weights],
+    )
+
+
+def reference_closure_mst(inst: PstInstance) -> tuple[float, list[tuple[int, int]]]:
+    """The earlier metric-closure MST approximation on a k = 1 instance:
+    (closure MST total, tree) over the source and the terminals.
 
     Verbatim except that it also sums the accepted closure distances.
     """
-    inst = _single_rate_instance(graph, terminals, weights)
-    terms = sorted(terminals)
+    graph = inst.graph
+    terms = sorted([inst.source, *inst.terminals])
     if len(terms) == 1:
         return 0.0, []
     searches = {t: edge_rate_search(inst, [t], 1) for t in terms}

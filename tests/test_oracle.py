@@ -16,7 +16,6 @@ from priority_steiner.oracle import (
     InstanceTooLargeError,
     exact_pnwst,
     exact_pst,
-    exact_steiner,
 )
 
 
@@ -104,15 +103,16 @@ class TestExactPnwst:
 
 
 class TestExactSteiner:
+    # Single-rate Steiner is PST with k = 1: one terminal is the source.
     def test_two_terminals_is_shortest_path(self):
         g = PriorityGraph(4, [(1, 2), (2, 3), (1, 4), (4, 3)], 1)
-        res = exact_steiner(g, {1, 3}, [1.0, 1.0, 5.0, 5.0])
-        assert res.opt_weight == 2.0
+        inst = PstInstance(g, 1, {3: 1}, [(1.0,), (1.0,), (5.0,), (5.0,)])
+        assert exact_pst(inst).opt_weight == 2.0
 
     def test_unit_four_cycle_opposite_corners(self):
         g = PriorityGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 1)
-        res = exact_steiner(g, {1, 3}, [1.0, 1.0, 1.0, 1.0])
-        assert res.opt_weight == 2.0
+        inst = PstInstance(g, 1, {3: 1}, [(1.0,)] * 4)
+        assert exact_pst(inst).opt_weight == 2.0
 
 
 class TestCrossValidation:

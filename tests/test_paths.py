@@ -15,7 +15,7 @@ from priority_steiner import (
     node_rate_search,
 )
 
-from priority_steiner.paths import _dijkstra, search_scratch, stopped_edge_search
+from priority_steiner.paths import _dijkstra, _zeros, search_scratch, stopped_search
 
 from helpers import (
     enum_edge_path_cost,
@@ -59,9 +59,11 @@ class TestEdgeSearch:
 
     def test_early_exit_predicate(self):
         inst = triangle()
-        res = edge_rate_search(inst, [1], 1, stop=lambda u: u == 2)
-        assert res.stopped_at == 2
-        assert res.dist[2] == 1.0
+        g = inst.graph
+        found = stopped_search(
+            g, 1, _zeros(g.n + 1), inst._level_column(1), (2).__eq__, search_scratch(g)
+        )
+        assert found == (2, 1.0, [1, 2])
 
 
 class TestNodeSearch:
@@ -112,9 +114,12 @@ class TestNodeSearch:
 
     def test_early_exit_predicate(self):
         inst = gen_tightness_pnwst(3)
-        res = node_rate_search(inst, 1, 1, stop=lambda u: u in inst.terminals)
-        assert res.stopped_at in inst.terminals
-        assert res.dist[res.stopped_at] == 0.5
+        g = inst.graph
+        stop = inst.terminals.__contains__
+        found = stopped_search(
+            g, 1, inst._level_column(1), _zeros(g.m), stop, search_scratch(g)
+        )
+        assert found == (2, 0.5, [1, 6, 2])
 
 
 class TestProperties:
@@ -223,26 +228,29 @@ def tie_heavy_instances(draw):
 @given(tie_heavy_instances())
 @settings(max_examples=150, deadline=None)
 def test_stopped_searches_match_a_textbook_search(case):
-    # The stopped searches push nothing past their best target; the
-    # reference pushes every relaxation.  Vertex, cost and path agree.
+    # The stopped search pushes nothing past its best target; the reference
+    # pushes every relaxation.  Vertex, cost and path agree in both
+    # flavours, on one scratch pair.  The drawn vertex prices may be
+    # nonzero at the source, which is never charged and whose column entry
+    # is left as it is.
     pst, pnwst, targets = case
-    adj, n = pst.graph.adjacency, pst.graph.n
-    scratch = search_scratch(pst.graph)
+    g = pst.graph
+    adj, n = g.adjacency, g.n
+    scratch = search_scratch(g)
     stop = targets.__contains__
+    zero_v, zero_e = _zeros(n + 1), _zeros(g.m)
     for rate in range(3):
         edge_cost = pst._level_column(rate)
+        price = pnwst._level_column(rate)
+        before = list(price)
         for s in range(1, n + 1):
             want = reference_stopped_search(adj, s, lambda u, e: edge_cost[e], stop)
-            assert stopped_edge_search(pst, s, rate, stop, scratch) == want
-            res = edge_rate_search(pst, [s], rate, stop=stop)
-            u = res.stopped_at
-            assert (None if u is None else (u, res.dist[u], res.path_to(u))) == want
-            price = pnwst._level_column(rate)
+            assert stopped_search(g, s, zero_v, edge_cost, stop, scratch) == want
             for v in range(1, n + 1):
                 want = reference_stopped_search(
                     adj, s, lambda u, e: 0.0 if u == s else price[u], v.__eq__
                 )
-                res = node_rate_search(pnwst, s, rate, stop=v.__eq__)
-                u = res.stopped_at
-                got = None if u is None else (u, res.dist[u], res.path_to(u))
+                got = stopped_search(g, s, price, zero_e, v.__eq__, scratch)
                 assert got == want
+        assert price == before
+    assert scratch == search_scratch(g)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -271,22 +272,24 @@ class TestPrunedScan:
     def test_each_pair_searched_once_plus_the_winners_paths(
         self, monkeypatch, seed, charging
     ):
-        # Each (root, level) pair is searched once and then kept, lowered
-        # in place when its charges fall; every iteration searches afresh
-        # only for the winner's paths, one search per tree joined.
+        # Each (root, level) pair is searched in full once and then kept,
+        # lowered in place when its charges fall; every iteration recovers
+        # the winner's paths by stopped searches, one per tree joined.
         inst = gen_random_pnwst(14, 0.3, 3, 0.5, seed)
-        search = pnwst.node_rate_search
-        calls = [0]
+        calls = Counter()
+        for name in ("node_rate_search", "stopped_search"):
+            search = getattr(pnwst, name)
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return search(*args, **kwargs)
+            def counted(*args, _name=name, _search=search, **kwargs):
+                calls[_name] += 1
+                return _search(*args, **kwargs)
 
-        monkeypatch.setattr(pnwst, "node_rate_search", counted)
+            monkeypatch.setattr(pnwst, name, counted)
         rep = greedy_merge(inst, charging)
         assert len(rep.per_iteration) > 1
         pairs = sum(root_priority(inst, r) for r in init_rate_forest(inst).trees)
-        assert calls[0] == pairs + sum(r.merged for r in rep.per_iteration)
+        assert calls["node_rate_search"] == pairs
+        assert calls["stopped_search"] == sum(r.merged for r in rep.per_iteration)
 
     def test_disconnected_terminals_raise_value_error(self):
         g = PriorityGraph(4, [(1, 2), (3, 4)], 1)

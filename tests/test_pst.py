@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_closure_mst
+from helpers import reference_closure_mst, single_rate_instance
 from priority_steiner import (
     PriorityGraph,
     PstInstance,
@@ -16,11 +16,10 @@ from priority_steiner import (
     per_level_union,
     remove_cycles,
     solution_weight,
-    steiner_mst_approx,
 )
 from priority_steiner import pst
 from priority_steiner.instances import _tree_parents
-from priority_steiner.oracle import exact_pst, exact_steiner
+from priority_steiner.oracle import exact_pst
 from priority_steiner.paths import edge_rate_search
 
 
@@ -141,15 +140,17 @@ class TestRemoveCycles:
 
 
 class TestSteinerApprox:
+    # Single-rate Steiner is PST with k = 1, which per_level_union solves by
+    # one Voronoi tree over the source and the terminals.
     def test_two_terminals_is_a_shortest_path(self):
         g = PriorityGraph(4, [(1, 2), (2, 3), (1, 4), (4, 3)], 1)
-        tree = steiner_mst_approx(g, {1, 3}, [1.0, 1.0, 5.0, 5.0])
-        assert sorted(tree) == [(1, 2), (2, 3)]
+        inst = single_rate_instance(g, {1, 3}, [1.0, 1.0, 5.0, 5.0])
+        assert per_level_union(inst).solution.edges == [(1, 2), (2, 3)]
 
     def test_unit_star_returned_exactly(self):
         g = PriorityGraph(4, [(1, 2), (1, 3), (1, 4)], 1)
-        tree = steiner_mst_approx(g, {2, 3, 4}, [1.0, 1.0, 1.0])
-        assert sorted(tree) == [(1, 2), (1, 3), (1, 4)]
+        inst = single_rate_instance(g, {2, 3, 4}, [1.0, 1.0, 1.0])
+        assert per_level_union(inst).solution.edges == [(1, 2), (1, 3), (1, 4)]
 
     def test_cycle_with_shortcut_within_factor_two(self):
         # 4-cycle over 1..4 plus center 5 linked to all corners.
@@ -160,10 +161,9 @@ class TestSteinerApprox:
         )
         w = [2.0, 2.0, 2.0, 2.0, 1.1, 1.1, 1.1, 1.1]
         terms = {1, 2, 3, 4}
-        tree = steiner_mst_approx(g, terms, w)
-        widx = {e: wt for e, wt in zip(g.edges, w)}
-        got = sum(widx[e] for e in tree)
-        opt = exact_steiner(g, terms, w).opt_weight
+        inst = single_rate_instance(g, terms, w)
+        got = solution_weight(inst, per_level_union(inst).solution)
+        opt = exact_pst(inst).opt_weight
         assert opt == 4.4  # the center star
         assert got <= 2 * (1 - 1 / len(terms)) * opt
 
@@ -172,10 +172,8 @@ class TestSteinerApprox:
     def test_folklore_ratio_on_random_instances(self, seed):
         inst = gen_random_pst(8, 0.5, 1, 0.5, seed)
         terms = set(inst.terminals) | {inst.source}
-        w = [row[0] for row in inst.edge_weights]
-        tree = steiner_mst_approx(inst.graph, terms, w)
-        got = sum(inst.weight_of_pair(e, 1) for e in tree)
-        opt = exact_steiner(inst.graph, terms, w).opt_weight
+        got = solution_weight(inst, per_level_union(inst).solution)
+        opt = exact_pst(inst).opt_weight
         assert got <= 2 * (1 - 1 / len(terms)) * opt + 1e-9
 
 
@@ -199,7 +197,8 @@ class TestVoronoiConstruction:
                 res = edge_rate_search(inst, terms, lvl)
                 bridges = pst._bridge_mst(inst.graph, res, col)
                 assert len(bridges) == len(terms) - 1
-                total, _ = reference_closure_mst(inst.graph, terms, col)
+                one = single_rate_instance(inst.graph, terms, col)
+                total, _ = reference_closure_mst(one)
                 assert sum(b[0] for b in bridges) == pytest.approx(total)
                 pairs += 1
         assert pairs >= 200
@@ -238,8 +237,6 @@ class TestVoronoiConstruction:
 
     def test_disconnected_terminals_raise(self):
         g = PriorityGraph(4, [(1, 2), (3, 4)], 1)
-        with pytest.raises(ValueError, match="disconnected"):
-            steiner_mst_approx(g, {1, 2, 4}, [1.0, 1.0])
         inst = PstInstance(g, 1, {2: 1, 4: 1}, [(1.0,), (1.0,)])
         with pytest.raises(ValueError, match="disconnected"):
             per_level_union(inst)

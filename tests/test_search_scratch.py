@@ -1,11 +1,11 @@
-"""The stopped edge search runs on scratch lists its caller owns.
+"""The stopped search runs on scratch lists its caller owns.
 
 After a search the lists are all infinite (``dist``) and all zero
 (``parent``) again, whether it returned, found nothing or raised, and a
 search on lists that earlier searches used equals one on fresh lists, one
-on a fresh graph and the plain ``edge_rate_search`` with the same
-predicate.  The graph holds no search state, so solvers sharing one graph
-across threads, copies or pickles give the same results.
+on a fresh graph and a textbook search with the same predicate.  The graph
+holds no search state, so solvers sharing one graph across threads, copies
+or pickles give the same results.
 """
 
 import copy
@@ -23,13 +23,14 @@ from priority_steiner import (
     PstInstance,
     attach_by_priority,
     attach_to_higher_priority,
-    edge_rate_search,
     gen_random_pnwst,
     gen_random_pst,
     node_rate_search,
 )
 from priority_steiner import paths, pst
-from priority_steiner.paths import search_scratch, stopped_edge_search
+from priority_steiner.paths import _zeros, search_scratch, stopped_search
+
+from helpers import reference_stopped_search
 
 
 def assert_clean(scratch):
@@ -77,10 +78,17 @@ def split_instance(seed):
     return PstInstance(PriorityGraph(62, edges, 3), 1, terminals, weights)
 
 
+def search(inst, source, rate, stop, scratch):
+    """The attachment solvers' stopped search: edges priced at ``rate``."""
+    g = inst.graph
+    cost = inst._level_column(rate)
+    return stopped_search(g, source, _zeros(g.n + 1), cost, stop, scratch)
+
+
 def expected(inst, source, rate, stop):
-    res = edge_rate_search(inst, [source], rate, stop=stop)
-    u = res.stopped_at
-    return None if u is None else (u, res.dist[u], res.path_to(u))
+    cost = inst._level_column(rate)
+    adj = inst.graph.adjacency
+    return reference_stopped_search(adj, source, lambda u, e: cost[e], stop)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -105,10 +113,8 @@ def test_scratch_is_clean_after_a_disconnected_terminal(solver, seed, recorded):
     used, fresh = recorded[0], fresh_copy(inst)
     for t, lvl in sorted(inst.terminals.items()):
         stop = {inst.source}.__contains__
-        found = stopped_edge_search(inst, t, lvl, stop, used)
-        assert found == stopped_edge_search(
-            fresh, t, lvl, stop, search_scratch(fresh.graph)
-        )
+        found = search(inst, t, lvl, stop, used)
+        assert found == search(fresh, t, lvl, stop, search_scratch(fresh.graph))
         assert found == expected(inst, t, lvl, stop)
     assert_clean(used)
 
@@ -125,19 +131,19 @@ def test_scratch_is_clean_after_the_predicate_raises():
 
     scratch = search_scratch(inst.graph)
     with pytest.raises(RuntimeError):
-        stopped_edge_search(inst, 2, 1, stop, scratch)
+        search(inst, 2, 1, stop, scratch)
     assert_clean(scratch)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
-def test_stopped_search_matches_edge_rate_search(seed):
+def test_stopped_search_matches_a_textbook_search(seed):
     inst = gen_random_pst(40, 0.1, 3, 0.3, seed)
     targets = set(list(inst.terminals)[: 1 + seed % 4])
     scratch = search_scratch(inst.graph)
     for t, lvl in sorted(inst.terminals.items()):
         stop = lambda u, t=t: u != t and u in targets  # noqa: E731
-        found = stopped_edge_search(inst, t, lvl, stop, scratch)
+        found = search(inst, t, lvl, stop, scratch)
         assert found == expected(inst, t, lvl, stop)
     assert_clean(scratch)
 
@@ -145,7 +151,7 @@ def test_stopped_search_matches_edge_rate_search(seed):
 def test_stopped_search_without_a_match_returns_none():
     inst = split_instance(6)
     scratch = search_scratch(inst.graph)
-    assert stopped_edge_search(inst, 32, 2, {1}.__contains__, scratch) is None
+    assert search(inst, 32, 2, {1}.__contains__, scratch) is None
     assert_clean(scratch)
 
 

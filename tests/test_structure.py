@@ -346,7 +346,7 @@ def test_graph_holds_no_search_state():
     (search,) = [
         fn
         for fn in modules["paths.py"].body
-        if isinstance(fn, ast.FunctionDef) and fn.name == "stopped_edge_search"
+        if isinstance(fn, ast.FunctionDef) and fn.name == "stopped_search"
     ]
     params = {arg.arg for arg in search.args.args}
     # Bindings of the names themselves; stores into their entries are the
@@ -359,7 +359,7 @@ def test_graph_holds_no_search_state():
         for name in getattr(target, "elts", [target])
         if isinstance(name, ast.Name) and name.id in ("dist", "parent")
     ]
-    assert sources, "stopped_edge_search names no dist or parent list"
+    assert sources, "stopped_search names no dist or parent list"
     assert all(
         isinstance(value, ast.Name) and value.id in params for value in sources
     ), [ast.unparse(value) for value in sources]
