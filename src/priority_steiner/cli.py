@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import sys
@@ -51,12 +50,6 @@ PNWST_SOLVERS = {"pnwst": greedy_merge}
 ORACLES = {"PST": exact_pst, "PNWST": exact_pnwst}
 
 _SOLVERS_BY_KIND = {"PST": PST_SOLVERS, "PNWST": PNWST_SOLVERS}
-# Tags whose solver spreads its searches over ``--workers`` threads.
-_THREADED = {
-    tag
-    for tag, solver in PST_SOLVERS.items()
-    if "workers" in inspect.signature(solver).parameters
-}
 
 
 def _round12(x):
@@ -104,11 +97,11 @@ def _solver(tag: str, inst):
     return _SOLVERS_BY_KIND[kind][tag]
 
 
-def _run(inst, tag: str, workers: int):
+def _run(inst, tag: str):
     """Run solver ``tag``: (report, seconds, weight, violation or None)."""
     solver = _solver(tag, inst)
     started = time.perf_counter()
-    report = solver(inst, workers=workers) if tag in _THREADED else solver(inst)
+    report = solver(inst)
     elapsed = time.perf_counter() - started
     sol = report.solution
     return report, elapsed, solution_weight(inst, sol), check_feasible(inst, sol)
@@ -121,10 +114,10 @@ def _solution_doc(sol) -> list:
 
 
 def cmd_solve(args) -> int:
-    if args.workers < 1:  # checked for every solver, though only alg2 reads it
+    if args.workers < 1:  # accepted for compatibility; only its range is checked
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     inst = load_instance(args.instance)
-    report, elapsed, weight, violation = _run(inst, args.solver, args.workers)
+    report, elapsed, weight, violation = _run(inst, args.solver)
     sol = report.solution
     doc = {
         "schema": 1,
@@ -284,7 +277,7 @@ def cmd_bench(args) -> int:
             if args.exact:
                 opt = ORACLES[inst.kind](inst, max_edges=args.max_edges).opt_weight
             for tag in solvers:
-                report, elapsed, weight, violation = _run(inst, tag, workers=1)
+                report, elapsed, weight, violation = _run(inst, tag)
                 if violation is not None:
                     raise AssertionError(f"{label}/{tag}: infeasible output")
                 ratio = "" if not opt else f"{weight / opt:.12g}"
@@ -320,7 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--exact", action="store_true", help="also run the oracle")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility (at least 1); changes no output",
+    )
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_solve)
 

@@ -65,7 +65,7 @@ from .instances import (
     PstInstance,
     Solution,
     VertexRateSolution,
-    _DisjointSets,
+    _bottleneck_forest,
     _faults,
     canonical_edge,
 )
@@ -327,13 +327,8 @@ def bottleneck_tree(
     this one does.
     """
     selected = {v for v, r in rates.items() if r > 0}
-    pool = sorted(
-        (-min(rates[u], rates[v]), (u, v))
-        for (u, v) in inst.graph.edges
-        if u in selected and v in selected
-    )
-    ds = _DisjointSets(inst.graph.n)
-    return tuple(pair for _, pair in pool if ds.union(*pair))
+    induced = [(u, v) for u, v in inst.graph.edges if u in selected and v in selected]
+    return tuple(_bottleneck_forest(inst.graph.n, rates, [induced]))
 
 
 def parse_solution(text: str, inst: Instance) -> Solution:

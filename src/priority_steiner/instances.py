@@ -19,7 +19,9 @@ rate trees.  ``_required_levels`` runs the two over a tree's edges and
 gives every reached vertex its required level, the highest terminal
 priority in its subtree; ``check_feasible``, ``forced_rates`` and the
 merge check of ``pnwst.apply_merge`` all read feasibility from it.
-``_DisjointSets`` is the union-find behind every Kruskal sweep.
+``_DisjointSets`` is the union-find behind every Kruskal sweep, and
+``_bottleneck_forest`` the one maximum-bottleneck sweep over vertex
+levels, shared by the merge's fused tree and ``fileio.bottleneck_tree``.
 """
 
 from __future__ import annotations
@@ -416,6 +418,25 @@ class _DisjointSets:
             return False
         self.parent[ra] = rb
         return True
+
+
+def _bottleneck_forest(
+    n: int, rates: dict[int, int], groups: Sequence[Iterable[tuple[int, int]]]
+) -> list[tuple[int, int]]:
+    """Kruskal keeping edges by descending lower-endpoint level.
+
+    The kept edges join, for any two vertices, a path whose weakest vertex
+    is as strong as on any path over the given edges.  Ties go to the
+    earlier group, then to the smaller pair.  Returns the kept pairs in
+    sweep order.
+    """
+    ranked = sorted(
+        (-min(rates.get(u, 0), rates.get(w, 0)), i, (u, w))
+        for i, group in enumerate(groups)
+        for (u, w) in group
+    )
+    ds = _DisjointSets(n)
+    return [pair for _, _, pair in ranked if ds.union(*pair)]
 
 
 def check_feasible(inst: Instance, sol: Solution) -> Optional[str]:

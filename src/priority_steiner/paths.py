@@ -29,9 +29,10 @@ searches, all infinite and all zero on entry.  The loop appends every
 vertex it lowers to a touched list, and the search reads its answer and
 then resets exactly the touched entries, also when it raises, so the
 lists are clean for the caller's next search.  The graph holds no search
-state, so runs on one graph, in threads or in processes, share nothing
-but read-only data.  Full searches allocate their lists: they reach every
-vertex anyway, and they return the lists.
+state, so searches that own their scratch lists share nothing of one
+graph but read-only data; a process pool would rely on that.  Full
+searches allocate their lists: they reach every vertex anyway, and they
+return the lists.
 
 ``_dijkstra`` also updates a finished search in place: given its distance
 list and the vertices whose cost fell since, it reseeds from them at their

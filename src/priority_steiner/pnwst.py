@@ -39,7 +39,7 @@ from typing import Iterable, Optional
 from .instances import (
     PnwstInstance,
     VertexRateSolution,
-    _DisjointSets,
+    _bottleneck_forest,
     _required_levels,
     canonical_edge,
     forced_rates,
@@ -453,13 +453,7 @@ def apply_merge(
             if e not in old_edges:
                 new_edges.add(e)
 
-    ranked = sorted(
-        (-min(rates.get(u, 0), rates.get(w, 0)), is_new, (u, w))
-        for is_new, bucket in ((0, old_edges), (1, new_edges))
-        for (u, w) in bucket
-    )
-    ds = _DisjointSets(inst.graph.n)
-    kept = {pair for _, _, pair in ranked if ds.union(*pair)}
+    kept = set(_bottleneck_forest(inst.graph.n, rates, [old_edges, new_edges]))
 
     fused = TreePiece(cand.root, vertices, kept, merged_terms)
     forest.trees[cand.root] = fused
@@ -495,6 +489,22 @@ def greedy_merge(
     Runs at most one iteration per terminal.  The reported solution is the
     minimal-rate assignment on the final tree; `per_iteration` records the
     score, group size, working-set size, and weight increment of each merge.
+
+    The trace bounds the weight.  Let merge i join m_i >= 2 of the f_i
+    trees it starts from and add a_i, and let d_i = m_i - 1, the drop in
+    the number of trees.  The chosen merge costs at most OPT / f_i per
+    tree joined (the spider lemma) and adds at most its cost, so
+    a_i <= m_i * OPT / f_i.  Then
+    m_i <= 2 * d_i, and d_i / f_i <= 1/(f_i - d_i + 1) + ... + 1/f_i, since
+    each of those d_i terms is at least 1/f_i.  The trees fall from
+    |T| + 1 to 1 with f_{i+1} = f_i - d_i, so those sums telescope to
+    1/2 + ... + 1/(|T| + 1):
+
+        weight <= raw_weight = sum a_i <= OPT * sum m_i / f_i
+               <= 2 * (H(|T| + 1) - 1) * OPT <= 2 * ln(|T| + 1) * OPT.
+
+    ``gen_tightness_pnwst`` meets the bound exactly: its weight is
+    2 * (H(|T| + 1) - 1) and its optimum is 1.
     """
     forest = init_rate_forest(inst)
     records: list[IterationRecord] = []

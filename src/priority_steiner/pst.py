@@ -5,8 +5,8 @@ Three approximation strategies plus a combinator:
 * ``attach_by_priority`` grows a tree from the source, connecting terminals
   in decreasing priority order by cheapest rate-restricted paths.
 * ``attach_to_higher_priority`` connects every terminal independently to the
-  nearest vertex of strictly higher effective priority; the per-terminal
-  searches are read-only and may run in parallel.
+  nearest vertex of strictly higher effective priority, one read-only
+  search per terminal.
 * ``per_level_union`` builds one Steiner tree per priority level by
   Mehlhorn's construction and unions the trees.  A level's tree comes from
   one multi-source search from its terminals and the source: each vertex
@@ -24,7 +24,6 @@ cycle), dead-branch pruning, and minimal-rate canonicalization.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -52,9 +51,10 @@ class PstRunReport:
 
     ``connection_costs`` maps each terminal to the weight of the path that
     attached it (only the two attachment solvers fill it).  ``order`` is the
-    attachment sequence for the sequential solver and the (terminal, parent)
-    choices for the parallel one.  Cycle removal only discards weight, so
-    the costs always sum to at least the final solution weight.
+    attachment sequence for ``attach_by_priority`` and the (terminal,
+    parent) choices for ``attach_to_higher_priority``.  Cycle removal only
+    discards weight, so the costs always sum to at least the final solution
+    weight.
     """
 
     solution: EdgeRateSolution
@@ -132,46 +132,26 @@ def _raise_edges(
             rates[pair] = lvl
 
 
-def attach_to_higher_priority(inst: PstInstance, workers: int = 1) -> PstRunReport:
+def attach_to_higher_priority(inst: PstInstance) -> PstRunReport:
     """Connect every terminal to its nearest strictly-higher-priority vertex.
 
     Priority ties are ordered by vertex id (the source ranks above all
-    terminals), so parents are unique.  Searches are independent: the
-    sorted terminals are dealt into ``workers`` strided chunks, each
-    searched by one unit that owns its scratch lists, inline for one
-    worker and on a thread pool otherwise.  The results are read back in
-    sorted-terminal order, and edge levels combine by max, so the report
-    is the same for every worker count.
+    terminals), so parents are unique.  Each terminal's search reads only
+    the instance, so the searches are independent of one another; they run
+    in sorted-terminal order on one set of scratch lists.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    terms = sorted(inst.terminals)
     # Effective priorities, lexicographic (level, vertex id); the source
     # outranks everything.
     eff = {t: (lvl, t) for t, lvl in inst.terminals.items()}
     eff[inst.source] = (inst.graph.k + 1, 0)
-
-    def unit(chunk: list[int]) -> list[tuple[int, float, list[int]]]:
-        scratch = search_scratch(inst.graph)
-        return [
-            _attach(inst, t, lambda u, mine=eff[t]: u in eff and eff[u] > mine, scratch)
-            for t in chunk
-        ]
-
-    chunks = [terms[i::workers] for i in range(min(workers, len(terms)))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(unit, chunks))
-    else:
-        done = list(map(unit, chunks))
-    # terms[j] is entry j // workers of chunk j % workers.
-    found = [done[j % workers][j // workers] for j in range(len(terms))]
-
+    scratch = search_scratch(inst.graph)
     rates: dict[tuple[int, int], int] = {}
     costs: dict[int, float] = {}
     parents = []
-    for t, (parent, cost, path) in zip(terms, found):
-        costs[t] = cost
+    for t in sorted(inst.terminals):
+        parent, costs[t], path = _attach(
+            inst, t, lambda u, mine=eff[t]: u in eff and eff[u] > mine, scratch
+        )
         parents.append((t, parent))
         _raise_edges(rates, map(canonical_edge, path, path[1:]), inst.terminals[t])
     return PstRunReport(remove_cycles(inst, rates), costs, tuple(parents), "alg2")

@@ -223,6 +223,20 @@ class TestSolve:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("solver", [*cli.PST_SOLVERS, *cli.PNWST_SOLVERS])
+    def test_workers_flag_changes_no_output(
+        self, capsys, tmp_path, tightness_file, solver
+    ):
+        # --workers is accepted for compatibility; no solver reads it.
+        path = tightness_file
+        if solver in cli.PST_SOLVERS:
+            path = tmp_path / "r.pst"
+            path.write_text(write_instance(gen_random_pst(20, 0.2, 3, 0.4, 5)))
+        argv = ["solve", str(path), "--solver", solver, "--json"]
+        plain = run(capsys, argv)
+        assert plain[0] == 0
+        assert run(capsys, [*argv, "--workers", "4"]) == plain
+
     def test_solver_kind_mismatch_is_usage_error(self, capsys, tightness_file):
         code, _ = run(capsys, ["solve", tightness_file, "--solver", "alg1"])
         assert code == 2

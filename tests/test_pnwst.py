@@ -29,6 +29,7 @@ from helpers import (
     reference_merge_scan,
     residual_prices,
 )
+from test_acceptance import PNWST_CONFIGS, TOL
 
 
 def harmonic(n: int) -> float:
@@ -232,6 +233,20 @@ class TestTightnessFamilyAllSizes:
         rep = greedy_merge(inst)
         expect = 2 * (harmonic(t + 1) - 1)
         assert abs(solution_weight(inst, rep.solution) - expect) < 1e-9
+
+
+@pytest.mark.parametrize("charging", ["residual", "full"])
+def test_merge_trace_bounds_the_weight_on_criterion_5_ensemble(charging):
+    # The derivation in greedy_merge's docstring, run by run:
+    # raw_weight <= OPT * sum m_i/f_i and sum m_i/f_i <= 2(H(|T|+1) - 1).
+    for seed in range(300):
+        n, density, k, frac = PNWST_CONFIGS[seed % len(PNWST_CONFIGS)]
+        inst = gen_random_pnwst(n, density, k, frac, seed)
+        opt = exact_pnwst(inst).opt_weight
+        rep = greedy_merge(inst, charging=charging)
+        share = sum(r.merged / r.forest_size for r in rep.per_iteration)
+        assert rep.raw_weight <= opt * share + TOL, seed
+        assert share <= 2 * (harmonic(len(inst.terminals) + 1) - 1) + TOL, seed
 
 
 def _scan_cases():

@@ -78,29 +78,6 @@ class TestAttachToHigherPriority:
         assert check_feasible(inst, rep.solution) is None
         assert rep.connection_costs == {3: 1.0, 4: 11.0}
 
-    def test_parallel_execution_identical(self):
-        inst = gen_random_pst(40, 0.15, 3, 0.4, 77)
-        seq = attach_to_higher_priority(inst, workers=1)
-        par = attach_to_higher_priority(inst, workers=4)
-        assert seq.solution.rates == par.solution.rates
-        assert seq.connection_costs == par.connection_costs
-        assert seq.order == par.order
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_worker_count_below_one_is_refused(self, workers):
-        inst = gen_random_pst(10, 0.4, 2, 0.4, 1)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            attach_to_higher_priority(inst, workers=workers)
-
-    def test_more_workers_than_terminals(self):
-        inst = gen_random_pst(12, 0.4, 2, 0.3, 2)
-        assert len(inst.terminals) < 8
-        seq = attach_to_higher_priority(inst)
-        par = attach_to_higher_priority(inst, workers=8)
-        assert seq.solution.rates == par.solution.rates
-        assert seq.connection_costs == par.connection_costs
-        assert seq.order == par.order
-
 
 class TestRemoveCycles:
     def test_acyclic_input_only_canonicalized(self):

@@ -328,8 +328,8 @@ def test_one_solver_table():
 
 def test_graph_holds_no_search_state():
     # The stopped search's scratch lists belong to the run that searches,
-    # so a graph shared by threads, copies or worker processes carries no
-    # per-thread state and needs no custom pickling.
+    # so a graph shared by copies or worker processes carries no search
+    # state and needs no custom pickling.
     modules = _modules()
     nodes = list(ast.walk(modules["instances.py"]))
     imported = {n.module for n in nodes if isinstance(n, ast.ImportFrom)} | {
