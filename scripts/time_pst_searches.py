@@ -1,5 +1,5 @@
-"""Time alg1 and alg2 on the ``pst-ladder`` graphs, as library calls and
-through ``psteiner solve --json``, and the load both solve paths share.
+"""Time alg1, alg2 and krho on the ``pst-ladder`` graphs, as library calls
+and through ``psteiner solve --json``, and the load both solve paths share.
 
     PYTHONPATH=src python3 scripts/time_pst_searches.py [--seed N] [--repeats R]
         [--rungs rung1a,rung2a]
@@ -8,22 +8,24 @@ The graphs are the ones ``perfbench/run.py --workload pst-ladder --seed N``
 writes (n=2000, m=10,000, |T|=500 for ``rung1a`` and ``rung1b``; n=5000,
 m=25,000, |T|=1,250 for ``rung2a`` and ``rung2b``; k=5), written to a
 temporary directory.  Each repeat runs, per graph and solver, the library
-call (``attach_by_priority`` or ``attach_to_higher_priority`` on the
-instance parsed once) and then ``cli.main(["solve", file, "--solver", tag,
-"--json"])`` in-process with stdout captured, which parses the file again.
+call (``attach_by_priority``, ``attach_to_higher_priority`` or
+``per_level_union`` on the instance parsed once) and then
+``cli.main(["solve", file, "--solver", tag, "--json"])`` in-process with
+stdout captured, which parses the file again.
 Each repeat also times, per graph, the ``load`` path: ``load_instance`` on
 the file plus the graph's ``adjacency``, the work the CLI does before it
 searches and the library call does not.
 
 Prints one JSON line per graph, solver and path with the median seconds
 and a sha256 of the output (the library's rates and exact connection
-costs, or the CLI's stdout), one line per graph for ``load`` (solver
-null) with the sha256 of ``write_instance`` of the loaded instance, then
-one line per solver and path, and one for ``load``, with the median over
-repeats of the summed seconds.  It fails when a repeat's output
+costs, which krho leaves empty, or the CLI's stdout), one line per graph
+for ``load`` (solver null) with the sha256 of ``write_instance`` of the
+loaded instance, then one line per solver and path, and one for ``load``,
+with the median over repeats of the summed seconds.  It fails when a repeat's output
 differs from the first or the CLI's rates differ from the library's.  Run
 it on two checkouts at one seed and compare the digests to check that a
-change keeps the output.
+change keeps the output; the library is imported from ``PYTHONPATH``, so
+one copy of the script can time either checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -50,9 +52,14 @@ from priority_steiner.fileio import load_instance, write_instance  # noqa: E402
 from priority_steiner.pst import (  # noqa: E402
     attach_by_priority,
     attach_to_higher_priority,
+    per_level_union,
 )
 
-SOLVERS = {"alg1": attach_by_priority, "alg2": attach_to_higher_priority}
+SOLVERS = {
+    "alg1": attach_by_priority,
+    "alg2": attach_to_higher_priority,
+    "krho": per_level_union,
+}
 
 
 def _digest(text: str) -> str:

@@ -8,7 +8,11 @@ sweep over a family).
 
 Reports are deterministic: feasibility is always recomputed from the
 solution, JSON numbers carry 12 significant digits, and wall-clock timing
-goes to stderr so repeated runs emit identical bytes on stdout.
+goes to stderr so repeated runs emit identical bytes on stdout.  Once it
+has written its report, ``solve`` prints ``load:``, ``solve:`` and
+``check:`` seconds there (and ``oracle:`` with ``--exact``), and ``exact``
+prints ``load:`` and ``exact:``; a command that fails prints only its
+``error:`` line.
 
 Exit codes: 0 success/feasible, 1 infeasible solution, 2 usage or parse
 error (invalid instance values included), a disconnected terminal set or
@@ -23,6 +27,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from typing import Iterable, Optional
 
 from .fileio import (
@@ -97,14 +102,30 @@ def _solver(tag: str, inst):
     return _SOLVERS_BY_KIND[kind][tag]
 
 
-def _run(inst, tag: str):
-    """Run solver ``tag``: (report, seconds, weight, violation or None)."""
-    solver = _solver(tag, inst)
+@contextmanager
+def _phase(times: dict, name: str):
+    """Store the block's wall seconds as ``times[name]`` if it completes."""
     started = time.perf_counter()
-    report = solver(inst)
-    elapsed = time.perf_counter() - started
+    yield
+    times[name] = time.perf_counter() - started
+
+
+def _print_times(times: dict) -> None:
+    # One "phase: seconds" line each, on stderr, once the command is done.
+    for name, seconds in times.items():
+        print(f"{name}: {seconds:.3f}s", file=sys.stderr)
+
+
+def _run(inst, tag: str, times: dict):
+    """Run solver ``tag``: (report, weight, violation or None); the solve
+    and the check's seconds go into ``times``."""
+    solver = _solver(tag, inst)
+    with _phase(times, "solve"):
+        report = solver(inst)
     sol = report.solution
-    return report, elapsed, solution_weight(inst, sol), check_feasible(inst, sol)
+    with _phase(times, "check"):
+        weight, violation = solution_weight(inst, sol), check_feasible(inst, sol)
+    return report, weight, violation
 
 
 def _solution_doc(sol) -> list:
@@ -116,8 +137,10 @@ def _solution_doc(sol) -> list:
 def cmd_solve(args) -> int:
     if args.workers < 1:  # accepted for compatibility; only its range is checked
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    inst = load_instance(args.instance)
-    report, elapsed, weight, violation = _run(inst, args.solver)
+    times: dict[str, float] = {}
+    with _phase(times, "load"):
+        inst = load_instance(args.instance)
+    report, weight, violation = _run(inst, args.solver, times)
     sol = report.solution
     doc = {
         "schema": 1,
@@ -144,13 +167,13 @@ def cmd_solve(args) -> int:
             for r in report.per_iteration
         ]
     if args.exact:
-        oracle = ORACLES[inst.kind](inst, max_edges=args.max_edges)
+        with _phase(times, "oracle"):
+            oracle = ORACLES[inst.kind](inst, max_edges=args.max_edges)
         doc["oracle"] = {
             "opt": oracle.opt_weight,
             "ratio": weight / oracle.opt_weight if oracle.opt_weight else None,
             "bound": _solver_bound(args.solver, inst),
         }
-    print(f"solve: {elapsed:.3f}s", file=sys.stderr)
     if args.json:
         _emit_json(doc)
     else:
@@ -163,15 +186,16 @@ def cmd_solve(args) -> int:
             sys.stdout.write(f"opt {doc['oracle']['opt']:.12g}\n")
             if doc["oracle"]["ratio"] is not None:
                 sys.stdout.write(f"ratio {doc['oracle']['ratio']:.12g}\n")
+    _print_times(times)
     return 0 if violation is None else 1
 
 
 def cmd_exact(args) -> int:
-    inst = load_instance(args.instance)
-    started = time.perf_counter()
-    res = ORACLES[inst.kind](inst, max_edges=args.max_edges)
-    elapsed = time.perf_counter() - started
-    print(f"exact: {elapsed:.3f}s", file=sys.stderr)
+    times: dict[str, float] = {}
+    with _phase(times, "load"):
+        inst = load_instance(args.instance)
+    with _phase(times, "exact"):
+        res = ORACLES[inst.kind](inst, max_edges=args.max_edges)
     if args.json:
         _emit_json(
             {
@@ -185,6 +209,7 @@ def cmd_exact(args) -> int:
     else:
         sys.stdout.write(f"opt {res.opt_weight:.12g}\n")
         sys.stdout.write(f"enumerated {res.enumerated}\n")
+    _print_times(times)
     return 0
 
 
@@ -277,14 +302,15 @@ def cmd_bench(args) -> int:
             if args.exact:
                 opt = ORACLES[inst.kind](inst, max_edges=args.max_edges).opt_weight
             for tag in solvers:
-                report, elapsed, weight, violation = _run(inst, tag)
+                times: dict[str, float] = {}
+                report, weight, violation = _run(inst, tag, times)
                 if violation is not None:
                     raise AssertionError(f"{label}/{tag}: infeasible output")
                 ratio = "" if not opt else f"{weight / opt:.12g}"
                 opt_txt = "" if opt is None else f"{opt:.12g}"
                 rows.append(
                     f"{label},{report.solver_tag},{weight:.12g},{opt_txt},"
-                    f"{ratio},{_solver_bound(tag, inst):.12g},{elapsed:.4f}"
+                    f"{ratio},{_solver_bound(tag, inst):.12g},{times['solve']:.4f}"
                 )
             if args.family == "tightness" and len(seeds) > 1:
                 break

@@ -273,11 +273,16 @@ def _fmt(w: float) -> str:
 
 
 def write_instance(inst: Instance, comment: Optional[str] = None) -> str:
+    """The instance as file text; ``ValueError`` past the load's size caps,
+    so that no file is written that :func:`parse_instance` refuses."""
+    g = inst.graph
+    for head, value, cap in (("nodes", g.n, MAX_NODES), ("k", g.k, MAX_LEVELS)):
+        if value > cap:
+            raise ValueError(f"{head} must be at most {cap}, got {value}")
     lines = []
     if comment:
         for part in comment.splitlines():
             lines.append(f"# {part}")
-    g = inst.graph
     lines.append(f"{inst.kind} 1")
     lines.append(f"k {g.k}")
     lines.append(f"nodes {g.n}")

@@ -18,6 +18,9 @@ which the library's bounded stopped searches are held.
 approximation, one full search per terminal, against which the Voronoi
 bridge construction is held to the same MST weight.  It runs on a
 single-rate instance, PST with k = 1, as ``single_rate_instance`` builds one.
+``reference_bridge_mst`` is the library's earlier bridge sweep, which
+sorted every bridge key; the sweep that sorts only the keys up to its
+spanning tree's largest value is held to its exact list.
 ``reference_check_feasible`` is the library's earlier feasibility check,
 which walked each terminal's path to the source; ``check_feasible`` is held
 to its verdicts and its structural messages.  ``reference_marked_optimize``
@@ -387,6 +390,41 @@ def reference_closure_mst(inst: PstInstance) -> tuple[float, list[tuple[int, int
             for x, y in zip(path, path[1:]):
                 rates[canonical_edge(x, y)] = 1
     return total, remove_cycles(inst, rates).edges
+
+
+def reference_bridge_mst(
+    graph: PriorityGraph, res: PathResult, weights: list[float]
+) -> list[tuple[float, int, int, int]]:
+    """The earlier ``pst._bridge_mst``, verbatim: every bridge key is built
+    and sorted, and Kruskal reads them until it has joined every region."""
+    parent, dist = res.parent, res.dist
+    base = [0] * (graph.n + 1)
+    for s in res.sources:
+        base[s] = s
+    for v in range(1, graph.n + 1):
+        chain = []
+        while not base[v] and parent[v]:
+            chain.append(v)
+            v = parent[v]
+        for x in chain:
+            base[x] = base[v]  # 0 for vertices the search never reached
+    keys = []
+    for eid, (u, v) in enumerate(graph.edges):
+        bu, bv = base[u], base[v]
+        if bu != bv and bu and bv:
+            keys.append(
+                (dist[u] + weights[eid] + dist[v], min(bu, bv), max(bu, bv), eid)
+            )
+    keys.sort()
+    ds = _DisjointSets(graph.n)
+    want = len(res.sources) - 1
+    accepted = []
+    for key in keys:
+        if len(accepted) == want:
+            break
+        if ds.union(key[1], key[2]):
+            accepted.append(key)
+    return accepted
 
 
 def reference_check_feasible(inst, sol):

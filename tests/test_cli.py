@@ -1,6 +1,8 @@
 import gc
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +372,33 @@ class TestSolve:
         assert err.startswith("error: line 7: ")
         assert "duplicate edge (1,2)" in err
 
+    @pytest.mark.parametrize(
+        "argv,phases",
+        [
+            (["solve", "--solver", "alg1"], ["load", "solve", "check"]),
+            (["solve", "--solver", "krho", "--json"], ["load", "solve", "check"]),
+            (
+                ["solve", "--solver", "best", "--exact"],
+                ["load", "solve", "check", "oracle"],
+            ),
+            (["exact"], ["load", "exact"]),
+            (["exact", "--json"], ["load", "exact"]),
+        ],
+        ids=["solve", "solve-json", "solve-exact", "exact", "exact-json"],
+    )
+    def test_success_prints_phase_seconds_to_stderr(
+        self, capsys, single_edge_file, argv, phases
+    ):
+        code = main([argv[0], single_edge_file, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == phases
+        assert all(re.fullmatch(r"[a-z]+: \d+\.\d{3}s", line) for line in lines)
+        # Timing never reaches stdout: a second run prints the same bytes.
+        main([argv[0], single_edge_file, *argv[1:]])
+        assert capsys.readouterr().out == captured.out
+
 
 class TestExact:
     def test_prints_opt(self, capsys, single_edge_file):
@@ -440,6 +469,19 @@ class TestGen:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("family", ["random-pst", "random-pnwst", "proportional"])
+    def test_level_count_past_the_load_cap_writes_no_file(
+        self, capsys, tmp_path, family
+    ):
+        # The loader refuses k above 100, so gen does not write such a file.
+        path = tmp_path / "g.txt"
+        code = main(["gen", family, "--n", "5", "--k", "101", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: k must be at most 100, got 101\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("family", ["random-pst", "random-pnwst", "proportional"])
     def test_huge_fractions_act_as_one(self, capsys, family):
@@ -719,3 +761,110 @@ def test_directory_as_path_is_an_error_line(capsys, tmp_path, single_edge_file):
         assert captured.err.startswith("error: "), argv
         assert captured.err.count("\n") == 1, argv
         assert folder in captured.err, argv
+
+
+# Seeds of the mutation fuzz: one small valid file of each format.
+FUZZ_PST = (
+    "PST 1\nk 2\nnodes 5\nsource 1\nterminal 3 2\nterminal 5 1\n"
+    "edge 1 2 1 2\nedge 2 3 1 1\nedge 3 4 2 3\nedge 4 5 1 4\nedge 1 5 3 3\n"
+)
+FUZZ_PNWST = (
+    "PNWST 1\nk 2\nnodes 5\nsource 1\nterminal 3 2\nterminal 5 1\n"
+    "edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 4\nnode 2 1 2\nnode 4 0 3\n"
+)
+FUZZ_PST_SOLUTION = "rate 1-2 2\nrate 2-3 2\nrate 1-5 1\n"
+FUZZ_PNWST_SOLUTION = (
+    "rate 1 2\nrate 2 2\nrate 3 2\nrate 4 1\nrate 5 1\n"
+    "edge 1 2\nedge 2 3\nedge 1 4\nedge 4 5\n"
+)
+FUZZ_TREE = (
+    "RATETREE 1\nroot 1\nvertex 1 3\nvertex 2 3\nvertex 3 2\nvertex 4 1\n"
+    "vertex 5 2\nedge 1 2\nedge 2 3\nedge 2 4\nedge 1 5\n"
+)
+# Small vertex ids and levels come up most, so that many mutants still
+# load and reach the solvers, the oracle and the spider code.
+FUZZ_TOKENS = (
+    *"0123451234512345", "-1", "6", "100", "101", "1000001", "1e308", "-0",
+    "nan", "inf", "-inf", "1.5", "x", "", "PST", "PNWST", "RATETREE", "edge",
+    "node", "terminal", "vertex", "root", "source", "k", "nodes", "rate",
+    "1-2", "2-", "-", "#", "١", "0x1", "1_0", "\xa0",
+)
+FUZZ_CHARS = "\r\x0c \t #-.0x"
+
+
+def _mutate(text: str, rng) -> str:
+    """One line or token edit of ``text``, or now and then two or three."""
+    lines = text.split("\n")
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(6)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op in (3, 4):
+            tokens = lines[i].split(" ")
+            at = rng.randrange(len(tokens) + (op == 4))
+            if op == 3:
+                tokens[at] = rng.choice(FUZZ_TOKENS)
+            else:
+                tokens.insert(at, rng.choice(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+        else:
+            at = rng.randint(0, len(lines[i]))
+            lines[i] = lines[i][:at] + rng.choice(FUZZ_CHARS) + lines[i][at:]
+    return "\n".join(lines)
+
+
+def _fuzz_cases(rng, folder):
+    """(argv) per mutated file: about 300, over every command that reads one."""
+    solves = [
+        ["--solver", tag, *extra]
+        for tag in [*cli.PST_SOLVERS, *cli.PNWST_SOLVERS]
+        for extra in ([], ["--exact"], ["--json"], ["--exact", "--json"])
+    ]
+    seeds = [
+        (FUZZ_PST, FUZZ_PST_SOLUTION, "pst"),
+        (FUZZ_PNWST, FUZZ_PNWST_SOLUTION, "pnwst"),
+    ]
+    for i in range(300):
+        inst_text, sol_text, kind = seeds[i % 2]
+        path = folder / f"case{i}"
+        which = i // 2 % 5
+        if which == 0:
+            path.write_text(_mutate(inst_text, rng))
+            yield ["solve", str(path), *rng.choice(solves)]
+        elif which == 1:
+            path.write_text(_mutate(inst_text, rng))
+            yield ["exact", str(path), *rng.choice([[], ["--json"]])]
+        elif which == 2:
+            inst = folder / f"valid.{kind}"
+            inst.write_text(inst_text)
+            path.write_text(_mutate(sol_text, rng))
+            yield ["check", str(inst), str(path)]
+        elif which == 3:
+            path.write_text(_mutate(inst_text, rng))
+            sol = folder / f"valid-{kind}.sol"
+            sol.write_text(sol_text)
+            yield ["check", str(path), str(sol)]
+        else:
+            path.write_text(_mutate(FUZZ_TREE, rng))
+            marked = rng.choice(["1,3,4,5", "1,3,4,5", "1,3", "1,4", "2,3", "1,9"])
+            yield ["decompose", str(path), "--marked", marked]
+
+
+def test_mutated_files_never_raise(capsys, tmp_path):
+    # Every command that reads a file, on seeded mutations of valid files:
+    # an exit code from the documented set, never a traceback.
+    rng = random.Random(20260)
+    codes = []
+    for argv in _fuzz_cases(rng, tmp_path):
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        codes.append(code)
+    assert len(codes) == 300
+    assert {0, 2} <= set(codes)

@@ -45,6 +45,20 @@ class TestInstanceRoundTrip:
         assert back.graph.edges == inst.graph.edges
         assert back.vertex_weights == [tuple(r) for r in inst.vertex_weights]
 
+    @pytest.mark.parametrize(
+        "n,k,message",
+        [
+            (MAX_NODES + 1, 1, f"nodes must be at most {MAX_NODES}, got 1000001"),
+            (2, MAX_LEVELS + 1, f"k must be at most {MAX_LEVELS}, got 101"),
+        ],
+        ids=["nodes", "k"],
+    )
+    def test_writer_refuses_what_the_loader_refuses(self, n, k, message):
+        inst = PstInstance(PriorityGraph(n, [(1, 2)], k), 1, {2: 1}, [(1.0,) * k])
+        with pytest.raises(ValueError) as err:
+            write_instance(inst)
+        assert str(err.value) == message
+
     def test_comments_and_blank_lines_ignored(self):
         text = "\n# hello\nPST 1\nk 1\nnodes 2\nsource 1  # trailing\n" \
                "terminal 2 1\nedge 1 2 4\n"
@@ -147,14 +161,15 @@ class TestParseErrors:
             parse_instance("# only a comment\n")
 
     def test_size_caps_are_inclusive(self):
-        inst = parse_instance(
-            f"PST 1\nk 1\nnodes {MAX_NODES}\nsource 1\nterminal 2 1\nedge 1 2 1\n"
-        )
+        # Files at the caps load, and the writer gives back the same text.
+        text = f"PST 1\nk 1\nnodes {MAX_NODES}\nsource 1\nterminal 2 1\nedge 1 2 1\n"
+        inst = parse_instance(text)
         assert inst.graph.n == MAX_NODES
-        inst = parse_instance(
-            f"PNWST 1\nk {MAX_LEVELS}\nnodes 2\nsource 1\nterminal 2 1\nedge 1 2\n"
-        )
+        assert write_instance(inst) == text
+        text = f"PNWST 1\nk {MAX_LEVELS}\nnodes 2\nsource 1\nterminal 2 1\nedge 1 2\n"
+        inst = parse_instance(text)
         assert inst.graph.k == MAX_LEVELS
+        assert write_instance(inst) == text
 
     @pytest.mark.parametrize(
         "text,message,line",

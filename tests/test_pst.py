@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_closure_mst, single_rate_instance
+from helpers import reference_bridge_mst, reference_closure_mst, single_rate_instance
 from priority_steiner import (
     PriorityGraph,
     PstInstance,
@@ -18,6 +18,7 @@ from priority_steiner import (
     solution_weight,
 )
 from priority_steiner import pst
+from priority_steiner.generators import StableRng
 from priority_steiner.instances import _tree_parents
 from priority_steiner.oracle import exact_pst
 from priority_steiner.paths import edge_rate_search
@@ -162,6 +163,15 @@ def _level_groups(inst):
             yield lvl, group | {inst.source}
 
 
+def _checked_sweep(inst, sources, lvl):
+    """The bridge sweep of one level's search, held to the full sort."""
+    col = inst._level_column(lvl)
+    res = edge_rate_search(inst, sources, lvl)
+    bridges = pst._bridge_mst(inst.graph, res, col)
+    assert bridges == reference_bridge_mst(inst.graph, res, col)
+    return bridges
+
+
 class TestVoronoiConstruction:
     def test_bridge_mst_weighs_the_closure_mst(self):
         # Mehlhorn's lemma: the MST over Voronoi bridges, each keyed by
@@ -173,12 +183,56 @@ class TestVoronoiConstruction:
                 col = inst._level_column(lvl)
                 res = edge_rate_search(inst, terms, lvl)
                 bridges = pst._bridge_mst(inst.graph, res, col)
+                assert bridges == reference_bridge_mst(inst.graph, res, col)
                 assert len(bridges) == len(terms) - 1
                 one = single_rate_instance(inst.graph, terms, col)
                 total, _ = reference_closure_mst(one)
                 assert sum(b[0] for b in bridges) == pytest.approx(total)
                 pairs += 1
         assert pairs >= 200
+
+    def test_bridge_sweep_matches_the_full_sort_on_tied_weights(self):
+        # Generated weights are integers up to 10, so many bridge keys tie
+        # on value and only the regions and edge ids order them.
+        compared = 0
+        for seed in range(150):
+            n = 6 + seed % 40
+            inst = gen_random_pst(n, 0.05 + seed % 6 * 0.1, 3, 0.5, seed)
+            rng = StableRng(seed)
+            for lvl in range(1, 4):
+                sources = {rng.randint(1, n) for _ in range(rng.randint(1, n))}
+                bridges = _checked_sweep(inst, sources, lvl)
+                assert len(bridges) == len(sources) - 1
+                compared += len(bridges) > 1
+        assert compared >= 300
+
+    def test_bridge_sweep_on_disconnected_sources(self):
+        # Three copies of a random graph side by side; sources sit in the
+        # first two only, so the third is never reached and the sweep can
+        # join each copy's regions but not the two copies.
+        part = gen_random_pst(20, 0.2, 2, 0.5, 7)
+        n, m = part.graph.n, part.graph.m
+        edges = [(u + i * n, v + i * n) for i in range(3) for u, v in part.graph.edges]
+        inst = PstInstance(
+            PriorityGraph(3 * n, edges, 2), 1, {n + 1: 1}, part.edge_weights * 3
+        )
+        for sources in ([1, 5, 9, n + 2, n + 7], [3, n + 3], [2, 4, 6, 8, n + 11]):
+            for lvl in (1, 2):
+                bridges = _checked_sweep(inst, sources, lvl)
+                assert len(bridges) == len(sources) - 2
+                assert all(key[3] < 2 * m for key in bridges)
+
+    def test_bridge_sweep_on_a_single_region(self):
+        inst = gen_random_pst(15, 0.3, 2, 0.5, 3)
+        assert _checked_sweep(inst, [inst.source], 2) == []
+
+    def test_bridge_sweep_matches_the_full_sort_at_ladder_size(self):
+        # The shape of the first benchmark rung: n=2000, m=10,000,
+        # |T|=500, k=5.
+        inst = gen_random_pst(2000, 10000 / (2000 * 1999 / 2), 5, 500 / 1999, 11)
+        assert inst.graph.m == 10000
+        for lvl, terms in _level_groups(inst):
+            assert len(_checked_sweep(inst, terms, lvl)) == len(terms) - 1
 
     @given(st.integers(0, 400))
     @settings(max_examples=40, deadline=None)
