@@ -8,9 +8,8 @@ greedy merge score, however, sees the next bridge merge and the full hub
 merge as exactly tied at every step, and the fewer-trees tie-break walks
 the whole bridge chain, paying 2(H_{|T|+1} - 1) = about 2 ln(|T|+1).
 
-Flipping the tie-break toward larger merges buys the hub immediately, and
-charging already-paid vertices again ("full" mode) also escapes the trap
-here; both variants are shown for contrast.
+Charging already-paid vertices again ("full" mode) escapes the trap here;
+it is shown for contrast.
 """
 
 from priority_steiner import (
@@ -26,22 +25,17 @@ def harmonic(n):
 
 
 def main():
-    print(f"{'|T|':>4} {'greedy':>10} {'2(H-1)':>10} {'opt':>6} "
-          f"{'larger-h':>9} {'full':>7}")
+    print(f"{'|T|':>4} {'greedy':>10} {'2(H-1)':>10} {'opt':>6} {'full':>7}")
     for t in range(2, 11):
         inst = gen_tightness_pnwst(t)
         rep = greedy_merge(inst)
         got = solution_weight(inst, rep.solution)
         formula = 2 * (harmonic(t + 1) - 1)
         opt = exact_pnwst(inst, max_edges=inst.graph.m).opt_weight
-        alt = solution_weight(
-            inst, greedy_merge(inst, prefer_larger_groups=True).solution
-        )
         full = solution_weight(
             inst, greedy_merge(inst, charging="full").solution
         )
-        print(f"{t:>4} {got:>10.6f} {formula:>10.6f} {opt:>6.2f} "
-              f"{alt:>9.4f} {full:>7.4f}")
+        print(f"{t:>4} {got:>10.6f} {formula:>10.6f} {opt:>6.2f} {full:>7.4f}")
 
     print()
     print("merge trace for |T| = 4 (score, trees merged, weight added):")

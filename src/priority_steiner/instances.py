@@ -312,17 +312,25 @@ def validate_instance(inst: Instance) -> list[str]:
     return out
 
 
-def solution_weight(inst: Instance, sol: Solution) -> float:
-    """Sum of element weights at their assigned levels; empty solution is 0."""
-    total = 0.0
+def _edge_flavour(inst: Instance, sol: Solution) -> bool:
+    """True for an edge solution of an edge-weighted instance, False for a
+    vertex solution of a node-weighted one; ValueError for a mixed pair."""
     if isinstance(sol, EdgeRateSolution):
         if not isinstance(inst, PstInstance):
             raise ValueError("edge solution requires an edge-weighted instance")
+        return True
+    if not isinstance(inst, PnwstInstance):
+        raise ValueError("vertex solution requires a node-weighted instance")
+    return False
+
+
+def solution_weight(inst: Instance, sol: Solution) -> float:
+    """Sum of element weights at their assigned levels; empty solution is 0."""
+    total = 0.0
+    if _edge_flavour(inst, sol):
         for pair, level in sorted(sol.rates.items()):
             total += inst.weight_of_pair(pair, level)
     else:
-        if not isinstance(inst, PnwstInstance):
-            raise ValueError("vertex solution requires a node-weighted instance")
         for v, level in sorted(sol.rates.items()):
             if not (1 <= v <= inst.graph.n):
                 raise ValueError(f"unknown vertex {v}")
@@ -447,9 +455,11 @@ def check_feasible(inst: Instance, sol: Solution) -> Optional[str]:
     elements form one tree containing the source and all terminals; then
     every element's rate against its required level, the highest terminal
     priority it serves.  A rate violation names the first such element, by
-    canonical pair for edges and by id for vertices.
+    canonical pair for edges and by id for vertices.  A solution of the
+    other flavour is no solution at all: it raises ValueError, as in
+    ``solution_weight``.
     """
-    pst = isinstance(sol, EdgeRateSolution)
+    pst = _edge_flavour(inst, sol)
     edges = sol.rates if pst else sol.edges
     if not pst:
         for v in sol.rates:
@@ -509,31 +519,20 @@ def forced_rates(inst: Instance, tree_edges: Iterable[tuple[int, int]]) -> Solut
     return VertexRateSolution({v: lvl for v, lvl in need.items() if lvl}, kept)
 
 
-def subdivide_to_node_weighted(
-    inst: PstInstance,
-    vertex_weights: Optional[Sequence[tuple[float, ...]]] = None,
-) -> PnwstInstance:
+def subdivide_to_node_weighted(inst: PstInstance) -> PnwstInstance:
     """Move edge weights onto fresh midpoint vertices.
 
     Every edge (u,v) becomes a path u-x-v through a new vertex x carrying the
-    edge's weight table; original vertices keep the supplied vertex weights
-    (all-zero when omitted).  Edge j's midpoint gets id n+j+1, so optimal
-    values coincide with the edge-weighted input when the original vertices
-    are free.
+    edge's weight table; original vertices get all-zero rows.  Edge j's
+    midpoint gets id n+j+1, so optimal values coincide with the
+    edge-weighted input.
     """
     g = inst.graph
-    zeros = tuple(0.0 for _ in range(g.k))
-    if vertex_weights is None:
-        vw: list[tuple[float, ...]] = [zeros] * g.n
-    else:
-        vw = [tuple(row) for row in vertex_weights]
-        if len(vw) != g.n:
-            raise ValueError("one vertex weight row per original vertex")
     new_edges: list[tuple[int, int]] = []
     for eid, (u, v) in enumerate(g.edges):
         x = g.n + eid + 1
         new_edges.append((u, x))
         new_edges.append((x, v))
     graph = PriorityGraph(g.n + g.m, new_edges, g.k)
-    weights = vw + [tuple(inst.edge_weights[eid]) for eid in range(g.m)]
+    weights = [(0.0,) * g.k] * g.n + list(map(tuple, inst.edge_weights))
     return PnwstInstance(graph, inst.source, dict(inst.terminals), weights)

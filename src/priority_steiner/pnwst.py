@@ -164,7 +164,7 @@ def _head_limit(row: list[tuple[float, int]], bound: float) -> float:
 
 
 def _best_prefix(
-    head: float, row: list[tuple[float, int]], root: int, prefer_larger: bool
+    head: float, row: list[tuple[float, int]], root: int
 ) -> Optional[tuple[float, int, float, list[int]]]:
     # Best (score, group size, cost, selection) over prefixes of the row
     # without ``root``, or None when no finite score exists.  The best
@@ -179,19 +179,15 @@ def _best_prefix(
     for cost_leg, r2 in row:
         if r2 == root:
             continue
-        if best_q:
-            # Sorted legs: once a leg cannot lower the score, no later leg
-            # can either.
-            if prefer_larger:
-                if cost_leg > best_score:
-                    break
-            elif cost_leg >= best_score:
-                break
+        # Sorted legs: once a leg cannot lower the score, no later leg can
+        # either.
+        if best_q and cost_leg >= best_score:
+            break
         total += cost_leg
         q += 1
         chosen.append(r2)
         score = total / (q + 1)
-        if not best_q or score < best_score or (prefer_larger and score == best_score):
+        if not best_q or score < best_score:
             best_score, best_q, best_total = score, q, total
     if not best_q or math.isinf(best_score):
         return None
@@ -203,7 +199,6 @@ def minimize_merge_ratio(
     inst: PnwstInstance,
     forest: RateForest,
     charging: str = "residual",
-    prefer_larger_groups: bool = False,
     *,
     _searches: Optional[_Searches] = None,
 ) -> MergeCandidate:
@@ -212,9 +207,8 @@ def minimize_merge_ratio(
     For a fixed triple the best selection is a prefix of the other eligible
     trees sorted by their center-to-root path cost, so prefixes are scanned
     in order and the scan stops once the next path cost can no longer lower
-    the score.  Ties resolve toward fewer trees joined (flipped by
-    ``prefer_larger_groups``), then the smaller center id, then the smaller
-    root id, then the smaller level.
+    the score.  Ties resolve toward fewer trees joined, then the smaller
+    center id, then the smaller root id, then the smaller level.
 
     A triple is skipped only when it provably scores above the best score B
     found so far.  Some prefix scores at most B exactly when the head cost
@@ -309,12 +303,11 @@ def minimize_merge_ratio(
             for head, r in todo:
                 if head > limit or math.isinf(head):
                     continue
-                found = _best_prefix(head, row, r, prefer_larger_groups)
+                found = _best_prefix(head, row, r)
                 if found is None:
                     continue
                 score, h, total, sel = found
-                hkey = -h if prefer_larger_groups else h
-                key = (score, hkey, v, r, b)
+                key = (score, h, v, r, b)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (score, total, h, r, v, b, sel)
@@ -479,11 +472,7 @@ def _check_serves_terminals(
         raise RuntimeError(f"vertex {v} below required level {need[v]} in fused tree")
 
 
-def greedy_merge(
-    inst: PnwstInstance,
-    charging: str = "residual",
-    prefer_larger_groups: bool = False,
-) -> PnwstRunReport:
+def greedy_merge(inst: PnwstInstance, charging: str = "residual") -> PnwstRunReport:
     """Merge until one tree remains, then canonicalize its rates.
 
     Runs at most one iteration per terminal.  The reported solution is the
@@ -510,9 +499,7 @@ def greedy_merge(
     records: list[IterationRecord] = []
     searches = _Searches()
     while len(forest.trees) > 1:
-        cand = minimize_merge_ratio(
-            inst, forest, charging, prefer_larger_groups, _searches=searches
-        )
+        cand = minimize_merge_ratio(inst, forest, charging, _searches=searches)
         size_before = len(forest.trees)
         added = apply_merge(inst, forest, cand)
         records.append(

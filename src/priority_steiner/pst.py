@@ -14,10 +14,7 @@ Three approximation strategies plus a combinator:
   MST is taken over the edges bridging two regions, and each accepted
   bridge brings its two search paths.  That MST weighs exactly as much as
   the metric-closure MST, so the tree is within 2(1 - 1/l) of the optimal
-  Steiner tree over the level's l vertices, and the union within 2k.  The
-  MST sorts only the bridges it can accept: a Kruskal pass over their
-  values alone finds the largest value the tree takes, and the exact
-  sweep sorts only the bridges up to that value.
+  Steiner tree over the level's l vertices, and the union within 2k.
 * ``best_of`` returns the lightest of the three results.
 
 All solvers finish with ``remove_cycles``: a maximum-rate spanning forest
@@ -27,9 +24,8 @@ cycle), dead-branch pruning, and minimal-rate canonicalization.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Iterable
 
 from .instances import (
@@ -173,19 +169,10 @@ def _bridge_mst(
     and the accepted keys are returned in sweep order.  Fewer than
     ``len(res.sources) - 1`` of them means the sources are disconnected.
 
-    Only the keys the sweep can accept are built and sorted.  Every edge
-    gets its value, and a first Kruskal over the bridges, read in the
-    order of the edges sorted by value alone, finds ``top``, the largest
-    value its spanning tree accepts.  Any order that sorts the bridges by
-    value accepts the same number of them with value at most x, for every
-    x: that number is the regions' count less the number of components
-    the bridges up to x leave.  So the exact sweep, whose key order also
-    sorts by value, accepts its last key at value ``top`` too.  Every key
-    it reads up to then has value at most ``top``, and those keys are a
-    prefix of the fully sorted list, so building and sorting only them
-    returns the same list.  When the bridges cannot join every region,
-    ``top`` is infinite and every key is sorted, as the disconnected
-    report needs.
+    The edges are sorted by value alone and read one run of equal values
+    at a time; each run's keys are sorted before Kruskal reads them, so
+    the keys come in exactly their fully sorted order, and building stops
+    once the tree is complete.
     """
     want = len(res.sources) - 1
     if not want:
@@ -204,32 +191,20 @@ def _bridge_mst(
     ends = graph.edges
     values = [dist[u] + w + dist[v] for (u, v), w in zip(ends, weights)]
     order = sorted(range(len(ends)), key=values.__getitem__)
-    top = math.inf
-    ds = _DisjointSets(graph.n)
-    joined = 0
-    for eid in order:
-        bu, bv = base[ends[eid][0]], base[ends[eid][1]]
-        if bu != bv and bu and bv and ds.union(bu, bv):
-            joined += 1
-            if joined == want:
-                top = values[eid]
-                break
-    keys = []
-    for eid in order[: bisect_right(order, top, key=values.__getitem__)]:
-        bu, bv = base[ends[eid][0]], base[ends[eid][1]]
-        if bu != bv and bu and bv:
-            if bu < bv:
-                keys.append((values[eid], bu, bv, eid))
-            else:
-                keys.append((values[eid], bv, bu, eid))
-    keys.sort()
     ds = _DisjointSets(graph.n)
     accepted = []
-    for key in keys:
-        if len(accepted) == want:
-            break
-        if ds.union(key[1], key[2]):
-            accepted.append(key)
+    for value, run in groupby(order, key=values.__getitem__):
+        keys = []
+        for eid in run:
+            bu, bv = base[ends[eid][0]], base[ends[eid][1]]
+            if bu != bv and bu and bv:
+                keys.append((value, bu, bv, eid) if bu < bv else (value, bv, bu, eid))
+        keys.sort()
+        for key in keys:
+            if ds.union(key[1], key[2]):
+                accepted.append(key)
+                if len(accepted) == want:
+                    return accepted
     return accepted
 
 

@@ -19,8 +19,9 @@ approximation, one full search per terminal, against which the Voronoi
 bridge construction is held to the same MST weight.  It runs on a
 single-rate instance, PST with k = 1, as ``single_rate_instance`` builds one.
 ``reference_bridge_mst`` is the library's earlier bridge sweep, which
-sorted every bridge key; the sweep that sorts only the keys up to its
-spanning tree's largest value is held to its exact list.
+sorted every bridge key; the sweep that builds and sorts the keys one
+run of equal values at a time, stopping once its tree is complete, is held
+to its exact list.
 ``reference_check_feasible`` is the library's earlier feasibility check,
 which walked each terminal's path to the source; ``check_feasible`` is held
 to its verdicts and its structural messages.  ``reference_marked_optimize``
@@ -230,7 +231,6 @@ def reference_merge_scan(
     inst: PnwstInstance,
     forest: RateForest,
     charging: str = "residual",
-    prefer_larger_groups: bool = False,
 ) -> MergeCandidate:
     """The unpruned O(|T|^2)-per-(center, level) scan, with every search rerun."""
     residual = charging == "residual"
@@ -273,27 +273,18 @@ def reference_merge_scan(
                 for cost_leg, r2 in row:
                     if r2 == r:
                         continue
-                    if best_here is not None:
-                        if prefer_larger_groups:
-                            if cost_leg > best_here[0]:
-                                break
-                        elif cost_leg >= best_here[0]:
-                            break
+                    if best_here is not None and cost_leg >= best_here[0]:
+                        break
                     total += cost_leg
                     q += 1
                     chosen.append(r2)
                     score = total / (q + 1)
-                    if (
-                        best_here is None
-                        or score < best_here[0]
-                        or (prefer_larger_groups and score == best_here[0])
-                    ):
+                    if best_here is None or score < best_here[0]:
                         best_here = (score, q + 1, total, tuple(chosen))
                 if best_here is None or math.isinf(best_here[0]):
                     continue
                 score, h, total, sel = best_here
-                hkey = -h if prefer_larger_groups else h
-                key = (score, hkey, v, r, b)
+                key = (score, h, v, r, b)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (score, total, h, r, v, b, sel)
@@ -308,9 +299,7 @@ def reference_merge_scan(
 
 
 def reference_greedy_merge(
-    inst: PnwstInstance,
-    charging: str = "residual",
-    prefer_larger_groups: bool = False,
+    inst: PnwstInstance, charging: str = "residual"
 ) -> PnwstRunReport:
     """The library's ``greedy_merge`` with every search rerun.
 
@@ -320,7 +309,7 @@ def reference_greedy_merge(
     forest = init_rate_forest(inst)
     records: list[IterationRecord] = []
     while len(forest.trees) > 1:
-        cand = reference_merge_scan(inst, forest, charging, prefer_larger_groups)
+        cand = reference_merge_scan(inst, forest, charging)
         size_before = len(forest.trees)
         added = apply_merge(inst, forest, cand)
         records.append(

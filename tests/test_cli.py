@@ -25,6 +25,12 @@ DISCONNECTED_PST = (
     "terminal 2 1\nterminal 4 1\nedge 1 2 1\nedge 3 4 1\n"
 )
 
+# The source alone: every solver and oracle returns an empty tree.
+NO_TERMINALS = {
+    "PST": "PST 1\nk 2\nnodes 3\nsource 1\nedge 1 2 1 2\nedge 2 3 1 3\n",
+    "PNWST": "PNWST 1\nk 2\nnodes 3\nsource 1\nedge 1 2\nedge 2 3\nnode 2 1 2\n",
+}
+
 DUPLICATE_EDGE = (
     "PST 1\nk 1\nnodes 3\nsource 1\nterminal 3 1\n"
     "edge 1 2 5\nedge 1 2 1\nedge 2 3 1\n"
@@ -239,6 +245,17 @@ class TestSolve:
         assert plain[0] == 0
         assert run(capsys, [*argv, "--workers", "4"]) == plain
 
+    @pytest.mark.parametrize("solver", [*cli.PST_SOLVERS, *cli.PNWST_SOLVERS])
+    def test_no_terminals_weigh_nothing(self, capsys, tmp_path, solver):
+        path = tmp_path / f"bare.{solver}"
+        path.write_text(NO_TERMINALS["PST" if solver in cli.PST_SOLVERS else "PNWST"])
+        argv = ["solve", str(path), "--solver", solver, "--exact", "--json"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["weight"], doc["feasible"]) == (0.0, True)
+        assert (doc["oracle"]["opt"], doc["oracle"]["ratio"]) == (0.0, None)
+
     def test_solver_kind_mismatch_is_usage_error(self, capsys, tightness_file):
         code, _ = run(capsys, ["solve", tightness_file, "--solver", "alg1"])
         assert code == 2
@@ -418,6 +435,15 @@ class TestExact:
         code, out = run(capsys, ["exact", str(path)])
         assert code == 0
         assert out.splitlines()[0] == "opt 22"
+
+    @pytest.mark.parametrize("kind", sorted(NO_TERMINALS))
+    def test_no_terminals_enumerate_nothing(self, capsys, tmp_path, kind):
+        path = tmp_path / "bare.txt"
+        path.write_text(NO_TERMINALS[kind])
+        code, out = run(capsys, ["exact", str(path), "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["opt"], doc["enumerated"]) == (0.0, 0)
 
     def test_guard_exit_three(self, capsys, tmp_path):
         path = tmp_path / "big.pst"

@@ -218,10 +218,17 @@ class TestSolutions:
         back = parse_solution(text, inst)
         assert check_feasible(inst, back) is None
 
-    def test_kind_mismatch_rejected(self):
-        inst = gen_random_pnwst(5, 0.5, 1, 0.5, 2)
-        with pytest.raises(ParseError):
-            parse_solution("rate 1-2 1\n", inst)
+    @pytest.mark.parametrize(
+        "instance,text,message",
+        [
+            (gen_random_pnwst(5, 0.5, 1, 0.5, 2), "rate 1-2 1\n", "use rate v lines"),
+            (gen_random_pst(5, 0.5, 1, 0.5, 2), "rate 1 1\n", "use rate u-v lines"),
+        ],
+        ids=["PNWST", "PST"],
+    )
+    def test_kind_mismatch_rejected(self, instance, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_solution(text, instance)
 
     @pytest.mark.parametrize(
         "instance,text,line",
@@ -260,6 +267,10 @@ class TestRateTrees:
         rendered = format_decomposition(dec)
         assert "spider 1" in rendered
         assert "root" in rendered
+
+    def test_missing_header_rejected(self):
+        with pytest.raises(ParseError, match="missing RATETREE header"):
+            parse_rate_tree("# only a comment\n\n")
 
     def test_missing_rate_rejected(self):
         with pytest.raises(ParseError):

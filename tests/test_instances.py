@@ -146,6 +146,26 @@ class TestCheckFeasible:
         msg = check_feasible(inst, sol)
         assert "vertex 2 rate 1 < required 2" in msg
 
+    @pytest.mark.parametrize("kind", ["PST", "PNWST"])
+    def test_solution_of_the_other_flavour_raises(self, kind):
+        # Each solution sits on a solver's own tree, so only its flavour is
+        # wrong; the checker and the weight refuse it alike.
+        if kind == "PST":
+            inst = gen_random_pst(10, 0.4, 2, 0.5, 3)
+            edges = attach_by_priority(inst).solution.edges
+            rates = {v: inst.graph.k for e in edges for v in e}
+            sol = VertexRateSolution(rates, tuple(edges))
+            message = "vertex solution requires a node-weighted instance"
+        else:
+            inst = gen_random_pnwst(10, 0.4, 2, 0.5, 3)
+            edges = greedy_merge(inst).solution.edges
+            sol = EdgeRateSolution({e: inst.graph.k for e in edges})
+            message = "edge solution requires an edge-weighted instance"
+        assert edges
+        for check in (check_feasible, solution_weight):
+            with pytest.raises(ValueError, match=message):
+                check(inst, sol)
+
 
 PST_SOLVERS = (attach_by_priority, attach_to_higher_priority, per_level_union, best_of)
 SHARED_MUTATIONS = [
@@ -279,6 +299,43 @@ class TestFeasibilityAgreesWithReference:
         low = sorted(e for e, r in bad.rates.items() if r < need.get(e, 0))
         assert low and element == low[0], (got, low)
         assert (int(rate), int(level)) == (bad.rates[element], need[element])
+
+
+_SHAPE_FAULTS = {
+    "no-vertices": (lambda: PriorityGraph(0, [], 1), "vertex count must be positive"),
+    "no-levels": (lambda: PriorityGraph(2, [(1, 2)], 0), "at least one priority level"),
+    "pst-source": (
+        lambda: PstInstance(PriorityGraph(2, [(1, 2)], 1), 3, {}, [(1.0,)]),
+        "source out of range",
+    ),
+    "pst-row-count": (
+        lambda: PstInstance(PriorityGraph(2, [(1, 2)], 1), 1, {}, []),
+        "one weight row per edge",
+    ),
+    "pst-row-length": (
+        lambda: PstInstance(PriorityGraph(2, [(1, 2)], 2), 1, {}, [(1.0,)]),
+        "one entry per level",
+    ),
+    "pnwst-source": (
+        lambda: PnwstInstance(PriorityGraph(2, [(1, 2)], 1), 0, {}, [(0.0,)] * 2),
+        "source out of range",
+    ),
+    "pnwst-row-count": (
+        lambda: PnwstInstance(PriorityGraph(2, [(1, 2)], 1), 1, {}, [(0.0,)]),
+        "one weight row per vertex",
+    ),
+    "pnwst-row-length": (
+        lambda: PnwstInstance(PriorityGraph(2, [(1, 2)], 1), 1, {}, [(0.0, 0.0)] * 2),
+        "one entry per level",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_SHAPE_FAULTS))
+def test_constructors_refuse_bad_shapes(fault):
+    build, message = _SHAPE_FAULTS[fault]
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestSubdivision:

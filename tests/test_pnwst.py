@@ -59,15 +59,6 @@ class TestMinimizeGamma:
         assert cand.group_size == 2
         assert cand.cost == 0.5
 
-    def test_prefer_larger_groups_takes_the_hub(self):
-        inst = gen_tightness_pnwst(3)
-        cand = minimize_merge_ratio(
-            inst, init_rate_forest(inst), prefer_larger_groups=True
-        )
-        assert cand.ratio == 0.25
-        assert cand.group_size == 4
-        assert cand.cost == 1.0
-
     @given(st.integers(0, 300), st.sampled_from(["residual", "full"]))
     @settings(max_examples=25, deadline=None)
     def test_matches_exhaustive_subset_scan(self, seed, charging):
@@ -186,11 +177,6 @@ class TestGreedyMerge:
         assert solution_weight(inst, rep.solution) == 1.5
         assert [r.merged for r in rep.per_iteration] == [2, 3]
 
-    def test_prefer_larger_groups_finds_optimum_here(self):
-        inst = gen_tightness_pnwst(3)
-        rep = greedy_merge(inst, prefer_larger_groups=True)
-        assert solution_weight(inst, rep.solution) == 1.0
-
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_output_feasible_and_accounted(self, seed):
@@ -256,21 +242,28 @@ def _scan_cases():
             yield gen_random_pnwst(10 + 3 * seed, density, k, 0.5, 31 * k + seed)
     for t in range(2, 9):
         yield gen_tightness_pnwst(t)
+    # Every terminal at the top level leaves the leg rows below it empty,
+    # and an edge cut off from the rest gives its ends only infinite legs.
+    for seed in range(3):
+        inst = gen_random_pnwst(12, 0.35, 3, 0.5, 7 + seed)
+        g = inst.graph
+        top = {t: 3 for t in inst.terminals}
+        yield PnwstInstance(g, inst.source, top, inst.vertex_weights)
+        apart = PriorityGraph(g.n + 2, [*g.edges, (g.n + 1, g.n + 2)], g.k)
+        rows = [*inst.vertex_weights, (1.0, 2.0, 3.0), (1.0, 1.0, 4.0)]
+        yield PnwstInstance(apart, inst.source, inst.terminals, rows)
 
 
 class TestPrunedScan:
-    @pytest.mark.parametrize("prefer", [False, True])
     @pytest.mark.parametrize("charging", ["residual", "full"])
-    def test_every_choice_matches_the_reference_scan(
-        self, monkeypatch, charging, prefer
-    ):
+    def test_every_choice_matches_the_reference_scan(self, monkeypatch, charging):
         # Checked inside greedy_merge, so full charging runs on the searches
         # that the run caches across iterations.
         scan = pnwst.minimize_merge_ratio
         checked = []
 
         def pinned(inst, forest, *args, **kwargs):
-            expect = reference_merge_scan(inst, forest, charging, prefer)
+            expect = reference_merge_scan(inst, forest, charging)
             cand = scan(inst, forest, *args, **kwargs)
             assert cand == expect
             checked.append(cand)
@@ -279,7 +272,7 @@ class TestPrunedScan:
         monkeypatch.setattr(pnwst, "minimize_merge_ratio", pinned)
         for inst in _scan_cases():
             before = len(checked)
-            rep = greedy_merge(inst, charging, prefer)
+            rep = greedy_merge(inst, charging)
             assert len(checked) - before == len(rep.per_iteration) > 0
 
     @pytest.mark.parametrize("charging", ["residual", "full"])
@@ -305,6 +298,11 @@ class TestPrunedScan:
         pairs = sum(root_priority(inst, r) for r in init_rate_forest(inst).trees)
         assert calls["node_rate_search"] == pairs
         assert calls["stopped_search"] == sum(r.merged for r in rep.per_iteration)
+
+    def test_unknown_charging_mode_raises(self):
+        inst = gen_tightness_pnwst(3)
+        with pytest.raises(ValueError, match="unknown charging mode 'partial'"):
+            minimize_merge_ratio(inst, init_rate_forest(inst), "partial")
 
     def test_disconnected_terminals_raise_value_error(self):
         g = PriorityGraph(4, [(1, 2), (3, 4)], 1)
@@ -335,9 +333,8 @@ def _kept_cases():
 
 
 class TestKeptResidualSearches:
-    @pytest.mark.parametrize("prefer", [False, True])
     @pytest.mark.parametrize("charging", ["residual", "full"])
-    def test_kept_distances_equal_fresh_searches(self, monkeypatch, charging, prefer):
+    def test_kept_distances_equal_fresh_searches(self, monkeypatch, charging):
         scan = pnwst.minimize_merge_ratio
         checked = [0]
 
@@ -358,8 +355,8 @@ class TestKeptResidualSearches:
 
         monkeypatch.setattr(pnwst, "minimize_merge_ratio", fresh_checked)
         for inst in _kept_cases():
-            rep = greedy_merge(inst, charging, prefer)
-            assert rep == reference_greedy_merge(inst, charging, prefer)
+            rep = greedy_merge(inst, charging)
+            assert rep == reference_greedy_merge(inst, charging)
         assert checked[0] > 300
 
 
@@ -397,9 +394,8 @@ def _tie_trap():
 
 
 class TestKeptMergeRows:
-    @pytest.mark.parametrize("prefer", [False, True])
     @pytest.mark.parametrize("charging", ["residual", "full"])
-    def test_kept_rows_equal_rebuilt_rows(self, monkeypatch, charging, prefer):
+    def test_kept_rows_equal_rebuilt_rows(self, monkeypatch, charging):
         scan = pnwst.minimize_merge_ratio
         checked = [0]
 
@@ -417,25 +413,24 @@ class TestKeptMergeRows:
         monkeypatch.setattr(pnwst, "minimize_merge_ratio", rows_checked)
         levels = 0
         for inst in _kept_cases():
-            rep = greedy_merge(inst, charging, prefer)
+            rep = greedy_merge(inst, charging)
             levels += inst.graph.k * len(rep.per_iteration)
         assert checked[0] == levels > 80
 
-    @pytest.mark.parametrize("prefer", [False, True])
-    def test_tied_heads_resort_when_the_charge_falls(self, monkeypatch, prefer):
+    def test_tied_heads_resort_when_the_charge_falls(self, monkeypatch):
         inst = _tie_trap()
         scan = pnwst.minimize_merge_ratio
         seen = []
 
         def pinned(inst, forest, *args, _searches, **kwargs):
-            expect = reference_merge_scan(inst, forest, "residual", prefer)
+            expect = reference_merge_scan(inst, forest, "residual")
             cand = scan(inst, forest, *args, _searches=_searches, **kwargs)
             assert cand == expect
             seen.append((cand.root, cand.center, _searches.heads[1][2][:]))
             return cand
 
         monkeypatch.setattr(pnwst, "minimize_merge_ratio", pinned)
-        greedy_merge(inst, "residual", prefer)
+        greedy_merge(inst, "residual")
         big = 2.0**53
         assert seen[0] == (4, 2, [(2 * big, 1), (2 * big, 3)])
         assert seen[1] == (3, 2, [(big, 3), (big + 2, 1)])

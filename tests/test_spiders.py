@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,86 @@ class TestDecomposition:
         assert counted == len(marked)
 
 
+def _edit(spiders, i, add=(), drop=(), rates=(), **fields):
+    # Spider i with edges dropped and added, levels overridden, and any
+    # other field replaced.
+    sp = spiders[i]
+    edges = tuple(e for e in sp.edges if e not in drop) + tuple(add)
+    spiders[i] = replace(sp, edges=edges, rates={**sp.rates, **dict(rates)}, **fields)
+    return spiders
+
+
+# The layered tree's spiders are 0: root and center 11, leaves 15 and 16;
+# 1: root 12, center 7, legs 7-13-18 and 7-14-19; 2: root 1, center 2,
+# legs 2-6 and 2-4-9.  Each entry breaks one invariant and names the
+# message that reports it.
+_BREAKS = {
+    "edge-count": (
+        lambda s: _edit(s, 0, add=[(15, 16)]),
+        "spider 0: not a tree (edge count)",
+    ),
+    "connected": (
+        lambda s: _edit(s, 1, drop=[(7, 14)], add=[(12, 13)]),
+        "spider 1: not connected",
+    ),
+    "two-branches": (
+        lambda s: _edit(s, 1, add=[(13, 17), (13, 20)], rates={17: 1, 20: 1}),
+        "spider 1: two vertices of degree > 2: [7, 13]",
+    ),
+    "center": (
+        lambda s: _edit(s, 1, center=13),
+        "spider 1: center is not the branching vertex",
+    ),
+    "leaves": (
+        lambda s: _edit(s, 0, drop=s[0].edges),
+        "spider 0: fewer than two leaves",
+    ),
+    "root-role": (
+        lambda s: _edit(s, 1, root=13),
+        "spider 1: root is neither the center nor a leaf",
+    ),
+    "root-mark": (lambda s: _edit(s, 1, root=7), "spider 1: root not marked"),
+    "unmarked-leaf": (
+        lambda s: _edit(s, 1, add=[(13, 17)], rates={17: 1}),
+        "spider 1: unmarked leaf",
+    ),
+    "level": (
+        lambda s: _edit(s, 2, rates={4: 3}),
+        "spider 2: level increases from 2 to 4",
+    ),
+    "legs-overlap": (
+        lambda s: _edit(s, 2, center=1),
+        "spider 2: legs overlap at [2]",
+    ),
+    "leg-level": (
+        lambda s: _edit(s, 1, rates={18: 2}),
+        "spider 1: leg level increases from 13 to 18",
+    ),
+    "overlap": (lambda s: s + s[:1], "spider 3 overlaps another spider"),
+    "outside-edges": (
+        lambda s: _edit(s, 0, drop=[(11, 16)], add=[(15, 16)]),
+        "spider 0 uses edges outside the tree",
+    ),
+    "marked-level": (
+        lambda s: _edit(s, 2, rates={6: 1}),
+        "spider 2 changed the level of marked 6",
+    ),
+    "raised-level": (
+        lambda s: _edit(s, 2, rates={4: 2}),
+        "spider 2 raised the level of 4",
+    ),
+    "role": (
+        lambda s: _edit(s, 2, center=4),
+        "spider 2: marked vertex without a role",
+    ),
+    "covered": (lambda s: s[1:], "marked vertices not covered: [11, 15, 16]"),
+    "accounting": (
+        lambda s: _edit(s, 1, root=7),
+        "size accounting 11 != |marked| 10",
+    ),
+}
+
+
 class TestVerifiers:
     def test_verify_spider_flags_double_branching(self):
         from priority_steiner.spiders import RateSpider
@@ -154,6 +236,28 @@ class TestVerifiers:
         bad = RateSpider(1, 1, {1: 1, 2: 2, 3: 1}, edges)
         msgs = verify_spider(bad, {1, 3})
         assert any("level increases" in m for m in msgs)
+
+    @pytest.mark.parametrize("case", sorted(_BREAKS))
+    def test_each_broken_invariant_is_named(self, case):
+        tree, marked = layered_tree()
+        tree = marked_optimize(tree, marked)
+        dec = decompose_rate_spiders(tree, marked)
+        assert verify_decomposition(tree, marked, dec) == []
+        breaking, message = _BREAKS[case]
+        bad = replace(dec, spiders=tuple(breaking(list(dec.spiders))))
+        assert message in verify_decomposition(tree, marked, bad)
+
+    def test_disconnected_tree_has_no_parents(self):
+        tree = RateTree(1, {1: 1, 2: 1, 3: 1, 4: 1}, ((1, 2), (3, 4)))
+        with pytest.raises(ValueError, match="tree is disconnected"):
+            tree.parents()
+
+    def test_marks_off_the_tree_are_not_optimized(self):
+        tree, marked = layered_tree()
+        tree = marked_optimize(tree, marked)
+        assert is_marked_optimized(tree, marked)
+        assert not is_marked_optimized(tree, marked | {99})
+        assert not is_marked_optimized(tree, marked - {1})
 
 
 @st.composite

@@ -87,6 +87,26 @@ def test_one_union_find():
     assert len(finds) == 1, finds
 
 
+def test_one_bridge_sweep():
+    # krho's bridge MST is one Kruskal sweep over the keys in sorted order:
+    # one union-find, and no search for a threshold to sort up to.
+    tree = _modules()["pst.py"]
+    (sweep,) = [fn for fn in _functions(tree) if fn.name == "_bridge_mst"]
+    unions = [
+        node
+        for node in ast.walk(sweep)
+        if isinstance(node, ast.Call) and _callee(node) == "_DisjointSets"
+    ]
+    assert len(unions) == 1, [node.lineno for node in unions]
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "bisect" not in imported, sorted(filter(None, imported))
+
+
 def test_one_recursive_oracle_search():
     tree = _modules()["oracle.py"]
     nested = {
