@@ -8,24 +8,40 @@ with seed ``SEED`` and k=3 (|T|=40: n=150, m=600; |T|=80: n=300, m=1200;
 each run prints one JSON line: wall seconds, fresh node searches run,
 update runs (kept searches lowered in place where a charge fell), path
 recoveries (searches stopped at the winning center, one per tree joined),
-merges and solution weight.  All three are counted by wrapping the names
-the solver calls: ``pnwst.node_rate_search`` for fresh searches,
+merges, solution weight and a sha256 of the report (its rates, edges,
+per-iteration records and raw weight).  All three are counted by wrapping
+the names the solver calls: ``pnwst.node_rate_search`` for fresh searches,
 ``pnwst._dijkstra`` for update runs and ``pnwst.stopped_search`` for
-recoveries.
+recoveries.  Run it on two checkouts and compare the digests to check that
+a change keeps the output; the library is imported from ``PYTHONPATH``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import time
 from collections import Counter
+from dataclasses import astuple
 
 from priority_steiner import gen_random_pnwst, greedy_merge, pnwst, solution_weight
 
 LADDER = {40: (150, 600), 80: (300, 1200), 120: (400, 1600)}
 SEED = 7
 COUNTED = ("node_rate_search", "_dijkstra", "stopped_search")
+
+
+def report_digest(rep) -> str:
+    # json writes each float as its shortest round-trip repr, so equal
+    # digests mean equal values.
+    doc = [
+        sorted(rep.solution.rates.items()),
+        rep.solution.edges,
+        [astuple(rec) for rec in rep.per_iteration],
+        rep.raw_weight,
+    ]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 def time_run(inst, charging: str) -> dict:
@@ -53,6 +69,7 @@ def time_run(inst, charging: str) -> dict:
         "recoveries": calls["stopped_search"],
         "merges": len(rep.per_iteration),
         "weight": solution_weight(inst, rep.solution),
+        "sha256": report_digest(rep),
     }
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -86,7 +85,7 @@ def _solver_bound(tag: str, inst) -> float:
     t, k = len(inst.terminals), inst.graph.k
     log = float(max(t - 1, 0).bit_length() + 1)  # ceil(log2 t) + 1
     if tag == "pnwst":
-        return 2.0 * math.log(t + 1) + 2.0
+        return 2.0 * sum(1.0 / i for i in range(2, t + 2))  # 2 (H(t + 1) - 1)
     if tag == "krho":
         return 2.0 * k
     if tag == "best":

@@ -24,10 +24,11 @@ only falls, and only at the vertices whose level the last merge raised, so
 each iteration lowers the kept distances in place from those vertices; the
 result equals a fresh search bit for bit (see ``paths``).  Full charges
 never fall, so their kept distances are never touched.  The scan reads
-sorted rows per (level, center), the legs of the eligible roots and the
-heads of the roots above the level; they are kept across iterations too,
-and each iteration re-sorts only the rows whose entries changed.  The
-winning merge's paths come from searches stopped at its center.
+two sorted rows per (level, center): the legs of the roots at or below the
+level, and the heads of the roots at or above it, which it walks once.
+Both are kept across iterations too, and each iteration re-sorts only the
+rows whose entries changed.  The winning merge's paths come from searches
+stopped at its center.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class _Searches:
     ``rows[b][v]`` is the ascending (leg, root) row of the roots eligible
     at level b, a leg being the root's distance to v at its own priority,
     and ``heads[b][v]`` the ascending (distance + charge, root) row of the
-    roots above b, both at level b.  Rows follow ``dist`` and ``charges``:
+    roots at or above b, both at level b; a root at b heads with its leg
+    plus v's charge.  Rows follow ``dist`` and ``charges``:
     each call rebuilds only the rows of centers whose entries changed.  No
     parent trees are kept, which keeps memory flat.
     """
@@ -149,9 +151,11 @@ def _head_limit(row: list[tuple[float, int]], bound: float) -> float:
     # skipping itself) never raises this limit.  The relative margin absorbs
     # float rounding, so a head above the limit scores strictly above bound
     # however it is summed.
-    if math.isinf(bound):
+    if bound == math.inf:
         return math.inf
-    if not row or math.isinf(row[0][0]):
+    # The row is nonempty: a finite bound was scored on a nonempty row at
+    # a level up to this one, and every root of that row is in this row.
+    if row[0][0] == math.inf:
         return -math.inf
     limit = bound
     scale = abs(bound) * (len(row) + 1)
@@ -217,11 +221,11 @@ def minimize_merge_ratio(
     below B; T is taken over the full row, so a root skipping itself only
     loosens it.  A head above T plus a relative float margin is skipped, an
     equal score never is, and so the choice and its tie-break order are
-    those of the full scan.  Roots above level b are not in the leg row at
-    level b, so at each center they share one row: they are visited by
-    ascending (head, root), and of equal heads only the first is scored.
-    Roots at level b are in the row, and their heads are read from it as
-    leg plus center charge.  Both walks stop at the first head above T.
+    those of the full scan.  Every root at or above level b heads one row
+    per center, which is walked once by ascending (head, root) up to the
+    first head above T.  Roots above b are not in the leg row at level b,
+    so of their equal heads only the first is scored; a root at b skips
+    itself in the row, so each of those is scored.
 
     ``_searches`` keeps the searches by (root, level) and the sorted leg
     and head rows read from them across the calls of one run.  Merged-away
@@ -280,29 +284,20 @@ def minimize_merge_ratio(
     best_key = None
     best = None
     for b in range(1, k + 1):
-        charge, rows, heads = charges[b], cache.rows[b], cache.heads[b]
-        same = any(level_of[r] == b for r in roots)
+        rows, heads = cache.rows[b], cache.heads[b]
         for v in range(1, n + 1):
-            row, c = rows[v], charge[v]
+            row = rows[v]
             limit = _head_limit(row, best_key[0] if best_key else math.inf)
-            # Roots above b share the row, so equal heads score the same
-            # and only the first of them (the smallest id) can win.
-            todo: list[tuple[float, int]] = []
+            # Roots above b are not in the row, so equal heads score the
+            # same and only the first of them (the smallest id) can win.
+            above = None
             for head, r in heads[v]:
-                if head > limit:
+                if head > limit or head == math.inf:
                     break
-                if not todo or head != todo[-1][0]:
-                    todo.append((head, r))
-            # Roots at b are in the row, their head being leg + c.
-            if same:
-                for leg, r in row:
-                    if leg + c > limit:
-                        break
-                    if level_of[r] == b:
-                        todo.append((leg + c, r))
-            for head, r in todo:
-                if head > limit or math.isinf(head):
-                    continue
+                if level_of[r] > b:
+                    if head == above:
+                        continue
+                    above = head
                 found = _best_prefix(head, row, r)
                 if found is None:
                     continue
@@ -340,11 +335,11 @@ def _drop_roots(
     for r in sorted({r for r, _ in cache.dist} - level_of.keys()):
         top = root_priority(inst, r)
         for b in range(1, inst.graph.k + 1):
-            if b < top:
+            if b <= top:
                 dist, col = cache.dist[(r, b)], cache.charges[b]
                 for v, heads in enumerate(cache.heads[b][1:], 1):
                     heads.remove((dist[v] + col[v], r))
-            else:
+            if b >= top:
                 dist = cache.dist[(r, top)]
                 for v, row in enumerate(cache.rows[b][1:], 1):
                     row.remove((dist[v], r))
@@ -363,7 +358,7 @@ def _fill_rows(
     # ``head_centers`` from the kept distances and charges.
     dist = cache.dist
     legs = [(dist[(r, lvl)], r) for r, lvl in level_of.items() if lvl <= b]
-    ups = [(dist[(r, b)], r) for r, lvl in level_of.items() if lvl > b]
+    ups = [(dist[(r, b)], r) for r, lvl in level_of.items() if lvl >= b]
     rows, heads, charge = cache.rows[b], cache.heads[b], cache.charges[b]
     for v in centers:
         rows[v] = sorted([(d[v], r) for d, r in legs])

@@ -18,6 +18,11 @@ the decomposition, which never rebuilds a ``RateTree`` or walks the tree
 again.  A level that rises from parent to child is refused with a
 ValueError.
 
+``verify_spider`` checks a spider on one walk from its root: the center's
+legs are implied by the branching and level checks, so they get no walk of
+their own.  The verifiers report a center off the spider or a vertex
+without a level instead of raising.
+
 These structures verify the solver's guarantee; the solver itself never
 calls them.
 """
@@ -215,9 +220,18 @@ def decompose_rate_spiders(
 
 
 def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:
-    """All rate-spider conditions; empty list when satisfied."""
+    """All rate-spider conditions; empty list when satisfied.
+
+    One walk from the root checks connection and levels.  The center's legs
+    need no walk of their own.  Two legs that share a vertex branch at a
+    vertex of degree above two other than the center, which the branching
+    checks report.  When those pass and the root is the center or a leaf,
+    the center lies on the root's path to every other leaf, so each leg
+    runs away from the root and the level check covers it.
+    """
     out: list[str] = []
     verts = spider.vertices
+    rates = spider.rates
     if len(spider.edges) != len(verts) - 1:
         out.append("not a tree (edge count)")
         return out
@@ -226,6 +240,11 @@ def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:
         out.append("not connected")
         return out
     parent, order = reached
+    if spider.center not in verts:
+        out.append("center is not a vertex of the spider")
+    unrated = verts - rates.keys()
+    if unrated:
+        out.append(f"vertex {min(unrated)} has no level")
     degree = {v: 0 for v in verts}
     for (u, v) in spider.edges:
         degree[u] += 1
@@ -246,25 +265,11 @@ def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:
     if not leaves <= marked:
         out.append("unmarked leaf")
 
-    # Non-increasing levels away from the root.
+    # Non-increasing levels away from the root, where both have one.
     for v in order[1:]:
-        if spider.rates[v] > spider.rates[parent[v]]:
-            out.append(f"level increases from {parent[v]} to {v}")
-
-    # Center legs: vertex-disjoint, non-increasing toward non-root leaves.
-    parent, _ = _tree_parents(spider.center, spider.edges)
-    used: set[int] = set()
-    for leaf in sorted(leaves - {spider.root}):
-        path = [leaf]
-        while path[-1] != spider.center:
-            path.append(parent[path[-1]])
-        inner = set(path) - {spider.center}
-        if inner & used:
-            out.append(f"legs overlap at {sorted(inner & used)}")
-        used |= inner
-        for a, b in zip(path[::-1], path[::-1][1:]):
-            if spider.rates[b] > spider.rates[a]:
-                out.append(f"leg level increases from {a} to {b}")
+        p = parent[v]
+        if v in rates and p in rates and rates[v] > rates[p]:
+            out.append(f"level increases from {p} to {v}")
     return out
 
 
@@ -285,9 +290,10 @@ def verify_decomposition(
         seen |= sp.vertices
         if not set(sp.edges) <= tree_edges:
             out.append(f"spider {i} uses edges outside the tree")
-        for v in sp.vertices:
+        for v in sp.vertices & sp.rates.keys():
             # Later cuts come from a re-optimized remainder, which may have
-            # lowered unmarked levels; marked levels never move.
+            # lowered unmarked levels; marked levels never move.  A vertex
+            # without a level is reported by verify_spider.
             if v in marked:
                 if tree.rates.get(v) != sp.rates[v]:
                     out.append(f"spider {i} changed the level of marked {v}")

@@ -192,7 +192,9 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema"] == 1
+        # The family meets the proven bound 2 (H(|T| + 1) - 1).
         assert abs(doc["oracle"]["ratio"] - 13 / 6) < 1e-9
+        assert abs(doc["oracle"]["bound"] - 13 / 6) < 1e-9
         assert doc["feasible"] is True
         assert doc["oracle"]["opt"] == 1.0
 
@@ -707,6 +709,7 @@ class TestBench:
             cells = row.split(",")
             expect = 2 * (sum(1 / i for i in range(1, t + 2)) - 1)
             assert abs(float(cells[4]) - expect) < 1e-9
+            assert abs(float(cells[5]) - expect) < 1e-9
 
     def test_flavour_mismatch_stops_before_the_oracle(self, capsys, monkeypatch):
         from priority_steiner import oracle

@@ -36,7 +36,7 @@ GOLDEN = {
     "solve-best":
         "b8788f711ba798232879c0b6c53ceb9cdb1179d490f2c3d97bd0418c760ab9d0",
     "solve-pnwst":
-        "6141325b9b82dcca8fec1ef989d77d581c8142c8d0d7947e1b06db0ea94fa251",
+        "e367ae65e37f89a9e873b5000acaa8a59836ad9a016f9c0326216f957ea996a3",
     "exact-pst":
         "713c3f4cfd9b34e0889d1db6f2b0ed0fe595a8a32b2ad20d61a9fe9c6481c305",
     "exact-pnwst":

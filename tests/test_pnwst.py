@@ -372,7 +372,7 @@ def _rebuilt_rows(inst, forest, searches, b):
     ]
     heads = [
         sorted(
-            (dist[(r, b)][v] + charge[v], r) for r, lvl in level_of.items() if lvl > b
+            (dist[(r, b)][v] + charge[v], r) for r, lvl in level_of.items() if lvl >= b
         )
         for v in centers
     ]
@@ -385,7 +385,9 @@ def _tie_trap():
     # charges 2**53, so both heads round to 2**54 and sort by root id.  The
     # first merge joins terminals 4 and 5 at center 2, which drops its
     # charge to 0; the heads are then 2**53 + 2 and 2**53, which sort root 3
-    # first, and the second merge is root 3 at center 2.
+    # first, and the second merge is root 3 at center 2.  Terminals 4 and 5
+    # sit at level 1, so they head center 2's level-1 row too, at their
+    # legs (0) plus its charge; after the first merge root 4 heads at 0.
     big = 2.0**53
     edges = [(1, 6), (6, 2), (3, 7), (7, 2), (2, 4), (2, 5)]
     rows = [(0.0, 0.0), (big, big), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
@@ -432,5 +434,5 @@ class TestKeptMergeRows:
         monkeypatch.setattr(pnwst, "minimize_merge_ratio", pinned)
         greedy_merge(inst, "residual")
         big = 2.0**53
-        assert seen[0] == (4, 2, [(2 * big, 1), (2 * big, 3)])
-        assert seen[1] == (3, 2, [(big, 3), (big + 2, 1)])
+        assert seen[0] == (4, 2, [(big, 4), (big, 5), (2 * big, 1), (2 * big, 3)])
+        assert seen[1] == (3, 2, [(0.0, 4), (big, 3), (big + 2, 1)])

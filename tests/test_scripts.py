@@ -40,6 +40,7 @@ def test_time_greedy_merge_prints_one_run_per_charging_mode():
         (40, "full"),
     ]
     assert all(d["merges"] > 0 and d["seconds"] >= 0 for d in docs)
+    assert all(len(d["sha256"]) == 64 and int(d["sha256"], 16) >= 0 for d in docs)
 
 
 def test_time_pst_searches_prints_every_solver_and_path():

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priority_steiner.spiders import (
+    RateSpider,
     RateTree,
+    SpiderDecomposition,
     decompose_rate_spiders,
     is_marked_optimized,
     marked_optimize,
@@ -185,13 +187,16 @@ _BREAKS = {
         lambda s: _edit(s, 2, rates={4: 3}),
         "spider 2: level increases from 2 to 4",
     ),
+    # Two legs that overlap branch at a vertex other than the center, and
+    # a leg runs away from the root, so the branching and level checks
+    # report these two.
     "legs-overlap": (
         lambda s: _edit(s, 2, center=1),
-        "spider 2: legs overlap at [2]",
+        "spider 2: center is not the branching vertex",
     ),
     "leg-level": (
         lambda s: _edit(s, 1, rates={18: 2}),
-        "spider 1: leg level increases from 13 to 18",
+        "spider 1: level increases from 13 to 18",
     ),
     "overlap": (lambda s: s + s[:1], "spider 3 overlaps another spider"),
     "outside-edges": (
@@ -214,6 +219,21 @@ _BREAKS = {
     "accounting": (
         lambda s: _edit(s, 1, root=7),
         "size accounting 11 != |marked| 10",
+    ),
+}
+
+# Spiders the verifiers cannot read in full: a center off the spider and a
+# vertex without a level.  Each is reported, not raised.
+_UNREADABLE = {
+    "center-off": (
+        RateSpider(1, 99, {1: 2, 2: 1, 3: 1}, ((1, 2), (2, 3))),
+        {1, 3},
+        "center is not a vertex of the spider",
+    ),
+    "no-level": (
+        RateSpider(1, 1, {1: 1, 3: 1}, ((1, 2), (1, 3))),
+        {1, 2, 3},
+        "vertex 2 has no level",
     ),
 }
 
@@ -246,6 +266,15 @@ class TestVerifiers:
         breaking, message = _BREAKS[case]
         bad = replace(dec, spiders=tuple(breaking(list(dec.spiders))))
         assert message in verify_decomposition(tree, marked, bad)
+
+    @pytest.mark.parametrize("case", sorted(_UNREADABLE))
+    def test_unreadable_spider_is_reported(self, case):
+        spider, marked, message = _UNREADABLE[case]
+        assert verify_spider(spider, marked) == [message]
+        rates = {v: 1 for v in spider.vertices} | spider.rates
+        tree = RateTree(spider.root, rates, spider.edges)
+        decomp = SpiderDecomposition((spider,), frozenset(marked))
+        assert f"spider 0: {message}" in verify_decomposition(tree, marked, decomp)
 
     def test_disconnected_tree_has_no_parents(self):
         tree = RateTree(1, {1: 1, 2: 1, 3: 1, 4: 1}, ((1, 2), (3, 4)))

@@ -301,6 +301,33 @@ def test_one_merge_path_recovery():
     assert stray == [], f"charging read outside the charge columns at {stray}"
 
 
+def test_one_head_walk():
+    # The merge scan reads every head, of the roots at and above the level,
+    # from one row per center: one loop walks it, and no loop walks a leg
+    # row for more heads.
+    tree = _modules()["pnwst.py"]
+    (scan,) = [fn for fn in _functions(tree) if fn.name == "minimize_merge_ratio"]
+    walked = [
+        ast.unparse(node.iter) for node in ast.walk(scan) if isinstance(node, ast.For)
+    ]
+    assert walked.count("heads[v]") == 1, walked
+    legs = [it for it in walked if it == "row" or it.startswith("rows[")]
+    assert legs == [], walked
+
+
+def test_one_spider_walk():
+    # verify_spider walks the spider once, from its root; the center's legs
+    # are covered by the branching and level checks, not by a second walk.
+    tree = _modules()["spiders.py"]
+    (verify,) = [fn for fn in _functions(tree) if fn.name == "verify_spider"]
+    walks = [
+        node.lineno
+        for node in ast.walk(verify)
+        if isinstance(node, ast.Call) and _callee(node) == "_tree_parents"
+    ]
+    assert len(walks) == 1, walks
+
+
 def test_one_solver_table():
     # Each solver and oracle the command line runs is named once, as a bare
     # function in a module-level table; lookups read the tables and the
