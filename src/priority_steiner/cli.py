@@ -14,9 +14,10 @@ has written its report, ``solve`` prints ``load:``, ``solve:`` and
 prints ``load:`` and ``exact:``; a command that fails prints only its
 ``error:`` line.
 
-Exit codes: 0 success/feasible, 1 infeasible solution, 2 usage or parse
-error (invalid instance values included), a disconnected terminal set or
-a path that cannot be read or written, 3 oracle size guard.
+Exit codes: 0 success/feasible, 1 infeasible solution (a ``bench`` row
+included, which writes no CSV), 2 usage or parse error (invalid instance
+values included), a disconnected terminal set or a path that cannot be read
+or written, 3 oracle size guard or a search too deep to run.
 """
 
 from __future__ import annotations
@@ -225,15 +226,19 @@ def _spec_from_args(args) -> GeneratorSpec:
     return GeneratorSpec(args.family, params)
 
 
-def cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
-    inst = spec.build()
-    text = write_instance(inst, comment=f"generated: {spec.describe()}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(path: Optional[str], text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def cmd_gen(args) -> int:
+    spec = _spec_from_args(args)
+    inst = spec.build()
+    _write(args.out, write_instance(inst, comment=f"generated: {spec.describe()}"))
     return 0
 
 
@@ -304,7 +309,8 @@ def cmd_bench(args) -> int:
                 times: dict[str, float] = {}
                 report, weight, violation = _run(inst, tag, times)
                 if violation is not None:
-                    raise AssertionError(f"{label}/{tag}: infeasible output")
+                    print(f"error: {label}/{tag}: {violation}", file=sys.stderr)
+                    return 1
                 ratio = "" if not opt else f"{weight / opt:.12g}"
                 opt_txt = "" if opt is None else f"{opt:.12g}"
                 rows.append(
@@ -313,12 +319,7 @@ def cmd_bench(args) -> int:
                 )
             if args.family == "tightness" and len(seeds) > 1:
                 break
-    text = "\n".join(rows) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.csv, "\n".join(rows) + "\n")
     return 0
 
 
@@ -328,8 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Priority Steiner tree solvers and verification tools",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    # Options more than one subcommand takes, each declared once.
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("family", choices=list(FAMILIES))
+    family.add_argument("--density", type=float, default=0.4)
+    family.add_argument("--k", type=int, default=2)
+    family.add_argument("--terminal-fraction", type=float, default=0.5)
 
-    p = sub.add_parser("solve", help="run a solver on an instance file")
+    p = sub.add_parser("solve", parents=[cap], help="run a solver on an instance file")
     p.add_argument("instance")
     p.add_argument(
         "--solver",
@@ -344,23 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="accepted for compatibility (at least 1); changes no output",
     )
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("exact", help="exact optimum by brute force")
+    p = sub.add_parser("exact", parents=[cap], help="exact optimum by brute force")
     p.add_argument("instance")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("gen", help="write a generated instance")
-    p.add_argument("family", choices=list(FAMILIES))
+    p = sub.add_parser("gen", parents=[family], help="write a generated instance")
     p.add_argument("--out")
     p.add_argument("--terminals", type=int, default=3, help="tightness size")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--density", type=float, default=0.4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--terminal-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
@@ -374,17 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marked", required=True, help="comma-separated vertex ids")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("bench", help="CSV sweep over a generated family")
-    p.add_argument("family", choices=list(FAMILIES))
+    p = sub.add_parser(
+        "bench", parents=[family, cap], help="CSV sweep over a generated family"
+    )
     p.add_argument("--sizes", required=True, help="e.g. 2..8 or 4,6,8")
     p.add_argument("--seeds", default="0")
     p.add_argument("--solvers", required=True, help="comma-separated tags")
     p.add_argument("--exact", action="store_true")
     p.add_argument("--csv")
-    p.add_argument("--density", type=float, default=0.4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--terminal-fraction", type=float, default=0.5)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=cmd_bench)
     return top
 

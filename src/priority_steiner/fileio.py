@@ -337,41 +337,43 @@ def bottleneck_tree(
 
 
 def parse_solution(text: str, inst: Instance) -> Solution:
-    erates: dict[tuple[int, int], int] = {}
-    vrates: dict[int, int] = {}
+    edge_flavour = isinstance(inst, PstInstance)
+    if edge_flavour:
+        wrong_flavour = "edge-weighted solutions use rate u-v lines"
+    else:
+        wrong_flavour = "node-weighted solutions use rate v lines"
+    rates: dict = {}
     tree_edges: list[tuple[int, int]] = []
     for line_no, toks in _records(text):
         if toks[0] == "rate" and len(toks) == 3:
             lvl = _int(line_no, toks[2])
             if lvl not in range(inst.graph.k + 1):
                 raise ParseError(line_no, f"level {lvl} outside 0..{inst.graph.k}")
-            if "-" in toks[1]:
+            if ("-" in toks[1]) != edge_flavour:
+                raise ParseError(line_no, wrong_flavour)
+            if edge_flavour:
                 a, _, b = toks[1].partition("-")
-                pair = canonical_edge(_int(line_no, a), _int(line_no, b))
-                if pair in erates:
-                    raise ParseError(line_no, f"edge {pair} rated twice")
-                erates[pair] = lvl
+                key = canonical_edge(_int(line_no, a), _int(line_no, b))
             else:
-                v = _int(line_no, toks[1])
-                if v in vrates:
-                    raise ParseError(line_no, f"vertex {v} rated twice")
-                vrates[v] = lvl
+                key = _int(line_no, toks[1])
+            if key in rates:
+                what = "edge" if edge_flavour else "vertex"
+                raise ParseError(line_no, f"{what} {key} rated twice")
+            rates[key] = lvl
         elif toks[0] == "edge" and len(toks) == 3:
+            if edge_flavour:
+                raise ParseError(line_no, wrong_flavour)
             tree_edges.append(
                 canonical_edge(_int(line_no, toks[1]), _int(line_no, toks[2]))
             )
         else:
             raise ParseError(line_no, f"unknown solution record {toks[0]!r}")
 
-    if isinstance(inst, PstInstance):
-        if vrates or tree_edges:
-            raise ParseError(1, "edge-weighted solutions use rate u-v lines")
-        return EdgeRateSolution(erates)
-    if erates:
-        raise ParseError(1, "node-weighted solutions use rate v lines")
+    if edge_flavour:
+        return EdgeRateSolution(rates)
     if not tree_edges:
-        tree_edges = list(bottleneck_tree(inst, vrates))
-    return VertexRateSolution(vrates, tuple(tree_edges))
+        tree_edges = list(bottleneck_tree(inst, rates))
+    return VertexRateSolution(rates, tuple(tree_edges))
 
 
 def parse_rate_tree(text: str) -> RateTree:

@@ -1,6 +1,9 @@
 """Exact optima by exhaustive tree enumeration, for desk-scale instances.
 
-Both oracles run one search, ``_exact_search``, at every number of levels.
+Both oracles are one entry, ``_exact_search``, at every number of levels:
+it applies the edge guard, answers an instance without terminals with the
+source alone, picks the flavour's level tables and its disconnected
+message, and runs the search.
 Candidate trees are grown edge by edge from the source; every subtree of
 the graph containing the source is visited at most once via binary
 include/exclude branching with permanent exclusion.  Growing vertex x over
@@ -17,22 +20,22 @@ best tree found so far.  The search calls no heuristic solver, so
 
 The edge guard (``max_edges``) is the only size limit, for every k and both
 flavours.  These oracles refuse instances above it rather than approximate:
-exactness is the whole point.
+exactness is the whole point.  The search recurses once per decided edge,
+so an instance inside the guard that is still too deep for the
+interpreter's recursion limit is refused the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .instances import (
-    EdgeRateSolution,
     Instance,
     PnwstInstance,
     PstInstance,
     Solution,
-    VertexRateSolution,
     _raise_to_subtree_max,
     forced_rates,
     solution_weight,
@@ -54,27 +57,26 @@ class OracleResult:
     enumerated: int
 
 
-def _guard(m: int, max_edges: int) -> None:
-    if m > max_edges:
-        raise InstanceTooLargeError(
-            f"instance has {m} edges, oracle guard allows {max_edges}"
-        )
-
-
-def _exact_search(
-    inst: Instance,
-    edge_rows: Sequence[tuple[float, ...]],
-    vertex_rows: Sequence[tuple[float, ...]],
-    disconnected: str,
-) -> OracleResult:
+def _exact_search(inst: Instance, max_edges: int) -> OracleResult:
     """The include/exclude tree growth behind both oracles.
 
-    ``edge_rows[eid]`` and ``vertex_rows[v]`` are the level tables charged
-    for a grown edge and for the vertex it adds; one of the two is all
-    zeros.  ``disconnected`` is the ValueError message when no tree spans
-    the terminals.
+    A grown edge is charged its level table and the vertex it adds that
+    vertex's table; the flavour's other side is all zeros.
     """
     g = inst.graph
+    if g.m > max_edges:
+        raise InstanceTooLargeError(
+            f"instance has {g.m} edges, oracle guard allows {max_edges}"
+        )
+    if not inst.terminals:
+        return OracleResult(0.0, forced_rates(inst, ()), 0)
+    zeros = (0.0,) * g.k
+    if isinstance(inst, PstInstance):
+        edge_rows, vertex_rows = inst.edge_weights, [zeros] * (g.n + 1)
+        disconnected = _PST_DISCONNECTED
+    else:
+        edge_rows, vertex_rows = [zeros] * g.m, [zeros, *inst.vertex_weights]
+        disconnected = _PNWST_DISCONNECTED
     source = inst.source
     terms = set(inst.terminals)
     best = math.inf
@@ -150,7 +152,12 @@ def _exact_search(
         grow(rest, lb)
         banned[eid] = False
 
-    grow([e for (_, e) in g.adjacency[source]], 0.0)
+    try:
+        grow([e for (_, e) in g.adjacency[source]], 0.0)
+    except RecursionError:
+        raise InstanceTooLargeError(
+            f"instance has {g.m} edges, too deep for the oracle's search"
+        ) from None
 
     if best_tree is None:
         raise ValueError(disconnected)
@@ -171,14 +178,7 @@ def exact_pst(
     rates, which are pointwise-minimal feasible, so no rate assignment can
     beat the best tree.
     """
-    _guard(inst.graph.m, max_edges)
-    g = inst.graph
-    if not inst.terminals:
-        return OracleResult(0.0, EdgeRateSolution({}), 0)
-    zeros = (0.0,) * g.k
-    return _exact_search(
-        inst, inst.edge_weights, [zeros] * (g.n + 1), _PST_DISCONNECTED
-    )
+    return _exact_search(inst, max_edges)
 
 
 def exact_pnwst(
@@ -190,12 +190,4 @@ def exact_pnwst(
     The same tree scan as the edge-weighted oracle, for every k, with
     vertex scoring: each grown vertex pays its own table, the edges nothing.
     """
-    _guard(inst.graph.m, max_edges)
-    g = inst.graph
-    if not inst.terminals:
-        sol = VertexRateSolution({inst.source: g.k}, ())
-        return OracleResult(0.0, sol, 0)
-    zeros = (0.0,) * g.k
-    return _exact_search(
-        inst, [zeros] * g.m, [zeros, *inst.vertex_weights], _PNWST_DISCONNECTED
-    )
+    return _exact_search(inst, max_edges)

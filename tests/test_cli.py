@@ -455,6 +455,27 @@ class TestExact:
         code, _ = run(capsys, ["exact", str(path), "--max-edges", "45"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["exact"], ["solve", "--solver", "alg1", "--exact"]],
+        ids=["exact", "solve"],
+    )
+    def test_search_too_deep_to_run_exit_three(self, capsys, tmp_path, argv):
+        # Inside the guard asked for, but the search recurses once per
+        # decided edge: one error line, as for the guard, no traceback.
+        path = tmp_path / "path.pst"
+        path.write_text(
+            "PST 1\nk 1\nnodes 1500\nsource 1\nterminal 1500 1\n"
+            + "".join(f"edge {v} {v + 1} 1\n" for v in range(1, 1500))
+        )
+        code = main([argv[0], str(path), *argv[1:], "--max-edges", "2000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: instance has 1499 edges, too deep for the oracle's search\n"
+        )
+
 
 class TestGen:
     def test_same_seed_identical_files(self, capsys, tmp_path):
@@ -731,6 +752,41 @@ class TestBench:
         assert captured.out == ""
         assert captured.err == "error: solver alg1 needs a PST instance\n"
 
+    def test_tightness_runs_once_per_size_whatever_the_seeds(self, capsys):
+        # The tightness family has no seed: one row per size and solver.
+        code, out = run(
+            capsys,
+            ["bench", "tightness", "--sizes", "2..4", "--seeds", "0,1",
+             "--solvers", "pnwst"],
+        )
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            [f"tightness-{t}", "pnwst"] for t in (2, 3, 4)
+        ]
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["stdout", "csv"])
+    def test_infeasible_row_is_an_error_line(self, capsys, monkeypatch, tmp_path, csv):
+        # A solver's infeasible answer stops the sweep with exit 1, the
+        # code for an infeasible solution, and writes no CSV.
+        from priority_steiner.instances import EdgeRateSolution
+        from priority_steiner.pst import PstRunReport
+
+        def nothing(inst):
+            return PstRunReport(EdgeRateSolution({}), {}, (), "alg1")
+
+        monkeypatch.setitem(cli.PST_SOLVERS, "alg1", nothing)
+        target = tmp_path / "bench.csv"
+        extra = ["--csv", str(target)] if csv else []
+        code = main(
+            ["bench", "random-pst", "--sizes", "6", "--solvers", "alg1", *extra]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: random-pst-6-s0/alg1: terminal 2 unreachable\n"
+        assert not target.exists()
+
     def test_csv_file_written(self, capsys, tmp_path):
         target = tmp_path / "bench.csv"
         code, _ = run(
@@ -896,4 +952,82 @@ def test_mutated_files_never_raise(capsys, tmp_path):
         assert code in (0, 1, 2, 3), argv
         codes.append(code)
     assert len(codes) == 300
+    assert {0, 2} <= set(codes)
+
+
+# Tokens the argument fuzz draws from.  Every number is at most 12, so no
+# edit can ask for a large graph, a long sweep or a slow exact search.
+ARGV_TOKENS = (
+    "-1", "0", "1", "2", "3", "12", "1.5", "nan", "x", "", "3..2", "2..",
+    "..", "1,,2", "0,1", "alg2", "pnwst", "tightness", "random-pnwst",
+    "--bogus", "-z", "--json", "--exact", "--max-edges", "--sizes",
+    "--solver", "--k", "-h",
+)
+
+
+def _argv_bases(folder):
+    """One valid argument vector per shape, every path under ``folder``."""
+    pst, pnwst = folder / "valid.pst", folder / "valid.pnwst"
+    sol, tree = folder / "valid.sol", folder / "tree.txt"
+    pst.write_text(FUZZ_PST)
+    pnwst.write_text(FUZZ_PNWST)
+    sol.write_text(FUZZ_PST_SOLUTION)
+    tree.write_text(FUZZ_TREE)
+    return [
+        ["solve", str(pst), "--solver", "alg1", "--workers", "2"],
+        ["solve", str(pnwst), "--solver", "pnwst", "--exact", "--json"],
+        ["exact", str(pst), "--json", "--max-edges", "12"],
+        ["gen", "random-pst", "--n", "6", "--k", "3", "--out", str(folder / "g.pst")],
+        ["gen", "tightness", "--terminals", "3", "--seed", "2"],
+        ["check", str(pst), str(sol)],
+        ["decompose", str(tree), "--marked", "1,3,4,5"],
+        ["bench", "random-pst", "--sizes", "4..6", "--seeds", "0,1",
+         "--solvers", "alg1,krho", "--density", "0.5"],
+        ["bench", "tightness", "--sizes", "2,3", "--solvers", "pnwst", "--exact",
+         "--csv", str(folder / "b.csv")],
+    ]
+
+
+def _mutate_argv(argv, rng, folder):
+    """One to three token edits: replace, insert, delete, swap, or repeat an
+    option with its value."""
+    argv = list(argv)
+    paths = [str(folder), str(folder / "missing.pst")]
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        i = rng.randrange(len(argv))
+        token = rng.choice(ARGV_TOKENS + tuple(paths))
+        op = rng.randrange(5)
+        if op == 0:
+            argv[i] = token
+        elif op == 1:
+            argv.insert(i, token)
+        elif op == 2 and len(argv) > 1:
+            del argv[i]
+        elif op == 3:
+            j = rng.randrange(len(argv))
+            argv[i], argv[j] = argv[j], argv[i]
+        else:
+            flags = [j for j, tok in enumerate(argv) if tok.startswith("--")]
+            if flags:
+                j = rng.choice(flags)
+                argv += argv[j : j + 2]
+    return argv
+
+
+def test_mutated_argument_vectors_never_raise(capsys, monkeypatch, tmp_path):
+    # Unknown and repeated options, bad numbers, directories and missing
+    # files as paths: an exit code from the documented set, one error line
+    # on a failure and none otherwise, never an exception out of main().
+    monkeypatch.chdir(tmp_path)  # a relative --out or --csv lands here too
+    rng = random.Random(4242)
+    bases = _argv_bases(tmp_path)
+    codes = []
+    for i in range(300):
+        argv = _mutate_argv(bases[i % len(bases)], rng, tmp_path)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == (code in (2, 3)), (argv, err)
+        codes.append(code)
     assert {0, 2} <= set(codes)

@@ -219,16 +219,41 @@ class TestSolutions:
         assert check_feasible(inst, back) is None
 
     @pytest.mark.parametrize(
-        "instance,text,message",
+        "instance,text,message,line",
         [
-            (gen_random_pnwst(5, 0.5, 1, 0.5, 2), "rate 1-2 1\n", "use rate v lines"),
-            (gen_random_pst(5, 0.5, 1, 0.5, 2), "rate 1 1\n", "use rate u-v lines"),
+            (
+                gen_random_pnwst(5, 0.5, 1, 0.5, 2),
+                "rate 1-2 1\n",
+                "use rate v lines",
+                1,
+            ),
+            (gen_random_pst(5, 0.5, 1, 0.5, 2), "rate 1 1\n", "use rate u-v lines", 1),
+            (
+                gen_random_pnwst(5, 0.5, 1, 0.5, 2),
+                "rate 1 1\n# note\nrate 1-2 1\n",
+                "use rate v lines",
+                3,
+            ),
+            (
+                gen_random_pst(5, 0.5, 1, 0.5, 2),
+                "rate 1-2 1\n# note\nrate 3 1\n",
+                "use rate u-v lines",
+                3,
+            ),
+            (
+                gen_random_pst(5, 0.5, 1, 0.5, 2),
+                "rate 1-2 1\nedge 1 2\n",
+                "use rate u-v lines",
+                2,
+            ),
         ],
-        ids=["PNWST", "PST"],
+        ids=["PNWST", "PST", "PNWST-later", "PST-later", "PST-tree-edge"],
     )
-    def test_kind_mismatch_rejected(self, instance, text, message):
-        with pytest.raises(ParseError, match=message):
+    def test_kind_mismatch_rejected(self, instance, text, message, line):
+        # The record of the wrong flavour is named at its own line.
+        with pytest.raises(ParseError, match=message) as err:
             parse_solution(text, instance)
+        assert err.value.line_no == line
 
     @pytest.mark.parametrize(
         "instance,text,line",

@@ -106,6 +106,13 @@ class TestSolutionWeight:
         with pytest.raises(ValueError):
             solution_weight(inst, EdgeRateSolution({(1, 9): 1}))
 
+    @pytest.mark.parametrize("vertex", [0, 9])
+    def test_vertex_outside_the_graph_rejected(self, vertex):
+        inst = gen_tightness_pnwst(3)
+        sol = VertexRateSolution({1: 1, vertex: 1}, ())
+        with pytest.raises(ValueError, match=f"unknown vertex {vertex}"):
+            solution_weight(inst, sol)
+
 
 def path_instance():
     # 1 -- 2 -- 3 with terminal 3, plus priorities up to 2
@@ -390,6 +397,13 @@ class TestForcedRates:
             forced_rates(inst, g.edges)
         with pytest.raises(ValueError):
             forced_rates(inst, [(1, 2)])
+
+    def test_rejects_a_repeated_edge(self):
+        # The same edge twice, in either orientation, is not a tree.
+        g = PriorityGraph(3, [(1, 2), (2, 3)], 1)
+        inst = PstInstance(g, 1, {3: 1}, [(1.0,)] * 2)
+        with pytest.raises(ValueError, match="duplicate edges"):
+            forced_rates(inst, [(1, 2), (2, 3), (2, 1)])
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)

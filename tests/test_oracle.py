@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priority_steiner import (
+    PnwstInstance,
     PriorityGraph,
     PstInstance,
     check_feasible,
@@ -100,6 +103,27 @@ class TestExactPnwst:
         a = exact_pnwst(inst1)
         b = exact_pnwst(inst2)
         assert a.opt_weight == b.opt_weight == 1.0
+
+
+def _deep_path(oracle, n):
+    """A path 1 .. n to one terminal at n, in the oracle's flavour."""
+    g = PriorityGraph(n, [(v, v + 1) for v in range(1, n)], 1)
+    if oracle is exact_pst:
+        return PstInstance(g, 1, {n: 1}, [(1.0,)] * g.m)
+    return PnwstInstance(g, 1, {n: 1}, [(0.0,), *[(1.0,)] * (n - 2), (0.0,)])
+
+
+@pytest.mark.parametrize(
+    "oracle, opt_of_20", [(exact_pst, 19.0), (exact_pnwst, 18.0)], ids=["PST", "PNWST"]
+)
+def test_search_too_deep_to_run_is_refused(oracle, opt_of_20):
+    # The search recurses once per decided edge.  A path inside the guard
+    # it is given but past the interpreter's recursion limit is refused as
+    # too large, not ended in a RecursionError, and the next call runs.
+    assert sys.getrecursionlimit() < 1500
+    with pytest.raises(InstanceTooLargeError, match="1499 edges, too deep"):
+        oracle(_deep_path(oracle, 1500), max_edges=2000)
+    assert oracle(_deep_path(oracle, 20)).opt_weight == opt_of_20
 
 
 class TestExactSteiner:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +51,19 @@ class TestEdgeSearch:
         res = edge_rate_search(inst, [1], 2)
         assert enum_edge_path_cost(inst, 1, 3, 2) == 4.0
         assert res.dist[3] == 4.0
+
+    def test_no_source_rejected(self):
+        with pytest.raises(ValueError, match="at least one source"):
+            edge_rate_search(triangle(), [], 1)
+
+    def test_path_to_an_unreachable_vertex_rejected(self):
+        # Vertex 3 has no edge; its distance stays infinite.
+        g = PriorityGraph(3, [(1, 2)], 1)
+        res = edge_rate_search(PstInstance(g, 1, {2: 1}, [(1.0,)]), [1], 1)
+        assert math.isinf(res.dist[3])
+        assert res.path_to(2) == [1, 2]
+        with pytest.raises(ValueError, match="vertex 3 unreachable"):
+            res.path_to(3)
 
     def test_multi_source_takes_nearest(self):
         inst = triangle()

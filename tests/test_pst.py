@@ -99,6 +99,18 @@ class TestRemoveCycles:
         sol = remove_cycles(inst, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
         assert (1, 3) not in sol.rates
 
+    def test_unknown_pair_rejected(self):
+        inst = shared_prefix_instance()
+        with pytest.raises(ValueError, match=r"unknown edge \(1, 3\)"):
+            remove_cycles(inst, {(1, 2): 2, (3, 1): 1})
+
+    def test_level_zero_entries_dropped(self):
+        # A level-0 entry is no edge at all, even for a pair the graph lacks.
+        g = PriorityGraph(3, [(1, 2), (2, 3), (1, 3)], 1)
+        inst = PstInstance(g, 1, {3: 1}, [(1.0,)] * 3)
+        sol = remove_cycles(inst, {(1, 2): 1, (2, 3): 1, (1, 3): 0, (3, 9): 0})
+        assert sol.rates == {(1, 2): 1, (2, 3): 1}
+
     @given(st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_never_gains_weight_and_stays_feasible(self, seed):

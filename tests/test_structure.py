@@ -1,8 +1,9 @@
 """Structure guard: each shared kernel has exactly one implementation.
 
-The search loop, the union-find, the oracle's tree growth and the instance
-rules are each written once in ``src/priority_steiner``; these checks fail
-when a second copy appears, so a change to one of them has one place to go.
+The search loop, the union-find, the oracle's tree growth and its one
+entry, and the instance rules are each written once in
+``src/priority_steiner``; these checks fail when a second copy appears, so a
+change to one of them has one place to go.
 The package also holds no ``assert`` statement, so its checks survive
 ``python -O``.
 """
@@ -117,6 +118,34 @@ def test_one_recursive_oracle_search():
     }
     recursive = sorted(fn.name for fn in nested if _calls(fn, fn.name))
     assert len(recursive) == 1, recursive
+
+
+def test_one_exact_entry():
+    # Both oracles are one entry: the guard, the answer without terminals,
+    # the zero tables of the flavour's other side and its disconnected
+    # message are decided in _exact_search, so the wrappers only call it.
+    tree = _modules()["oracle.py"]
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("exact_pst", "exact_pnwst"):
+        body = defs[name].body[1:]  # after the docstring
+        assert _callees(defs[name]) == {"_exact_search"}, (name, _callees(defs[name]))
+        assert len(body) == 1 and isinstance(body[0], ast.Return), name
+    zero_tables = sorted(
+        {
+            fn.name
+            for fn in _functions(tree)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Tuple)
+            and all(
+                isinstance(x, ast.Constant) and x.value == 0 for x in node.left.elts
+            )
+        }
+    )
+    assert zero_tables == ["_exact_search"], zero_tables
+    answers = sorted(fn.name for fn in _functions(tree) if _calls(fn, "OracleResult"))
+    assert answers == ["_exact_search"], answers
 
 
 def test_no_assert_statements():
