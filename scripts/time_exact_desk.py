@@ -2,13 +2,13 @@
 its output.
 
     PYTHONPATH=src python3 scripts/time_exact_desk.py [--seed N]
-        [--scale full|tiny] [--repeats R]
+        [--scale full|tiny]
 
 The graphs are the ones ``perfbench/run.py --workload oracle-desk --seed N``
 writes, written to a temporary directory by the workload's own set-up.
-Each repeat runs ``cli.main(["exact", file, "--json"])`` in-process, with
-stdout captured, once on every case whose operations include ``exact``,
-in the workload's case order.
+Each of ``REPEATS`` repeats runs ``cli.main(["exact", file, "--json"])``
+in-process, with stdout captured, once on every case whose operations
+include ``exact``, in the workload's case order.
 
 Prints one JSON line per case group (``pst``, ``pnwst``, ``base``, ``sub``)
 with its call count and the median over its calls of each call's best
@@ -43,6 +43,8 @@ from workloads import load_cases, set_up  # noqa: E402
 
 from priority_steiner import cli  # noqa: E402
 
+REPEATS = 3  # at least 2, so a change of output between repeats shows
+
 
 def exact_call(path: str) -> tuple[float, str]:
     out = io.StringIO()
@@ -63,16 +65,13 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=424242)
     ap.add_argument("--scale", choices=("full", "tiny"), default="full")
-    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
     with tempfile.TemporaryDirectory() as work:
         set_up("oracle-desk", args.seed, work, args.scale)
         cases = [case for case in load_cases(work) if "exact" in case.ops]
         best = [float("inf")] * len(cases)
         totals, outputs = [], None
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             runs = [exact_call(os.path.join(work, case.file)) for case in cases]
             texts = [text for _, text in runs]
             if outputs is not None and texts != outputs:
@@ -88,7 +87,7 @@ def main() -> None:
         row["median_s"] = round(statistics.median(secs), 5)
         print(json.dumps(row))
     opts = [json.loads(text)["opt"] for text in outputs]
-    summary = {"calls": len(cases), "repeats": args.repeats}
+    summary = {"calls": len(cases), "repeats": REPEATS}
     summary["best_total_s"] = round(min(totals), 4)
     summary["stdout_sha256"] = _sha256("".join(outputs))
     summary["opt_sha256"] = _sha256(json.dumps(opts))

@@ -22,7 +22,12 @@ The edge guard (``max_edges``) is the only size limit, for every k and both
 flavours.  These oracles refuse instances above it rather than approximate:
 exactness is the whole point.  The search recurses once per decided edge,
 so an instance inside the guard that is still too deep for the
-interpreter's recursion limit is refused the same way.
+interpreter's recursion limit is refused the same way.  That limit counts
+the caller's frames too, so where it cuts depends on the caller: from the
+command line a path of about 960 edges still runs and one of 990 is
+refused, but a caller already deep in its own stack meets the refusal
+sooner.  Only an instance that needs a guard raised near 1,000 edges can
+meet it; the default guard is far below.
 """
 
 from __future__ import annotations

@@ -1017,7 +1017,9 @@ def _mutate_argv(argv, rng, folder):
 def test_mutated_argument_vectors_never_raise(capsys, monkeypatch, tmp_path):
     # Unknown and repeated options, bad numbers, directories and missing
     # files as paths: an exit code from the documented set, one error line
-    # on a failure and none otherwise, never an exception out of main().
+    # on exit 2 or 3, none on success, never an exception out of main().
+    # Exit 1 is an infeasible solution: check reports it on stdout, bench
+    # as one error line naming the row.
     monkeypatch.chdir(tmp_path)  # a relative --out or --csv lands here too
     rng = random.Random(4242)
     bases = _argv_bases(tmp_path)
@@ -1028,6 +1030,7 @@ def test_mutated_argument_vectors_never_raise(capsys, monkeypatch, tmp_path):
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), argv
         errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == (code in (2, 3)), (argv, err)
+        allowed = {0: (0,), 1: (0, 1), 2: (1,), 3: (1,)}[code]
+        assert len(errors) in allowed, (argv, err)
         codes.append(code)
     assert {0, 2} <= set(codes)
