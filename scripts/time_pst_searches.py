@@ -7,9 +7,10 @@ and through ``psteiner solve --json``, and the load both solve paths share.
 The graphs are the ones ``perfbench/run.py --workload pst-ladder --seed N``
 writes (n=2000, m=10,000, |T|=500 for ``rung1a`` and ``rung1b``; n=5000,
 m=25,000, |T|=1,250 for ``rung2a`` and ``rung2b``; k=5), written to a
-temporary directory.  Each repeat runs, per graph and solver, the library
-call (``attach_by_priority``, ``attach_to_higher_priority`` or
-``per_level_union`` on the instance parsed once) and then
+temporary directory by the workload's own set-up; ``--rungs`` picks the
+graphs timed from its case ids.  Each repeat runs, per graph and solver,
+the library call (``attach_by_priority``, ``attach_to_higher_priority``
+or ``per_level_union`` on the instance parsed once) and then
 ``cli.main(["solve", file, "--solver", tag, "--json"])`` in-process with
 stdout captured, which parses the file again.
 Each repeat also times, per graph, the ``load`` path: ``load_instance`` on
@@ -45,9 +46,9 @@ from contextlib import redirect_stderr, redirect_stdout
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from workloads import plan  # noqa: E402
+from workloads import load_cases, set_up  # noqa: E402
 
-from priority_steiner import GeneratorSpec, cli  # noqa: E402
+from priority_steiner import cli  # noqa: E402
 from priority_steiner.fileio import load_instance, write_instance  # noqa: E402
 from priority_steiner.pst import (  # noqa: E402
     attach_by_priority,
@@ -126,18 +127,14 @@ def main() -> None:
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    cases = {case.id: kw for case, (_, kw) in plan("pst-ladder", args.seed)}
     rungs = args.rungs.split(",")
-    if any(r not in cases for r in rungs):
-        ap.error(f"--rungs must be drawn from {sorted(cases)}")
     with tempfile.TemporaryDirectory() as work:
-        files, insts = {}, {}
-        for rung in rungs:
-            inst = GeneratorSpec("random-pst", cases[rung]).build()
-            files[rung] = os.path.join(work, f"{rung}.pst")
-            with open(files[rung], "w", encoding="utf-8") as fh:
-                fh.write(write_instance(inst))
-            insts[rung] = load_instance(files[rung])
+        set_up("pst-ladder", args.seed, work)
+        cases = {case.id: case for case in load_cases(work)}
+        if any(r not in cases for r in rungs):
+            ap.error(f"--rungs must be drawn from {sorted(cases)}")
+        files = {rung: os.path.join(work, cases[rung].file) for rung in rungs}
+        insts = {rung: load_instance(files[rung]) for rung in rungs}
         times, digests = measure(files, insts, args.repeats)
     for (rung, tag, path), secs in times.items():
         row = {"graph": rung, "solver": tag, "path": path}

@@ -343,7 +343,7 @@ def parse_solution(text: str, inst: Instance) -> Solution:
     else:
         wrong_flavour = "node-weighted solutions use rate v lines"
     rates: dict = {}
-    tree_edges: list[tuple[int, int]] = []
+    tree_edges: dict[tuple[int, int], None] = {}
     for line_no, toks in _records(text):
         if toks[0] == "rate" and len(toks) == 3:
             lvl = _int(line_no, toks[2])
@@ -357,23 +357,22 @@ def parse_solution(text: str, inst: Instance) -> Solution:
             else:
                 key = _int(line_no, toks[1])
             if key in rates:
-                what = "edge" if edge_flavour else "vertex"
-                raise ParseError(line_no, f"{what} {key} rated twice")
+                what = "edge ({},{})".format(*key) if edge_flavour else f"vertex {key}"
+                raise ParseError(line_no, f"{what} rated twice")
             rates[key] = lvl
         elif toks[0] == "edge" and len(toks) == 3:
             if edge_flavour:
                 raise ParseError(line_no, wrong_flavour)
-            tree_edges.append(
-                canonical_edge(_int(line_no, toks[1]), _int(line_no, toks[2]))
-            )
+            edge = canonical_edge(_int(line_no, toks[1]), _int(line_no, toks[2]))
+            if edge in tree_edges:
+                raise ParseError(line_no, "edge ({},{}) listed twice".format(*edge))
+            tree_edges[edge] = None
         else:
             raise ParseError(line_no, f"unknown solution record {toks[0]!r}")
 
     if edge_flavour:
         return EdgeRateSolution(rates)
-    if not tree_edges:
-        tree_edges = list(bottleneck_tree(inst, rates))
-    return VertexRateSolution(rates, tuple(tree_edges))
+    return VertexRateSolution(rates, tuple(tree_edges) or bottleneck_tree(inst, rates))
 
 
 def parse_rate_tree(text: str) -> RateTree:

@@ -10,8 +10,9 @@ Levels are indices 1..k (0 means "not selected"), and every algorithm
 compares indices only.  Weight at level 0 is always 0.
 
 The kernels shared by the whole package live here.  ``_tree_parents``
-walks a rooted tree and returns its parent map (the root mapped to 0) and
-its vertices parents first, each vertex's children in ascending id order.
+walks a rooted tree and returns its parent map (the root mapped to 0),
+keyed parents first with each vertex's children in ascending id order; the
+map's key order is the walk's order, so no second list is kept.
 ``_raise_to_subtree_max`` takes such a parents-first parent map and raises
 every vertex's value to the largest value in its subtree; it computes
 required levels, the oracle's tree scores and the marked-set trimming of
@@ -340,11 +341,10 @@ def solution_weight(inst: Instance, sol: Solution) -> float:
 
 def _tree_parents(
     root: int, edges: Iterable[tuple[int, int]]
-) -> Optional[tuple[dict[int, int], list[int]]]:
-    """Parent map and parents-first order of the tree reached from root.
+) -> Optional[dict[int, int]]:
+    """Parent map of the tree reached from root, keyed parents first.
 
-    The root maps to 0, and the parent map lists its keys in the same
-    parents-first order.  Children are discovered in ascending id order.
+    The root maps to 0, and children are discovered in ascending id order.
     Returns None if the reached edges hold a cycle.  Only the component
     containing the root is explored; the caller decides whether unreached
     edges are an error.
@@ -356,7 +356,6 @@ def _tree_parents(
     for lst in adj.values():
         lst.sort()
     parent = {root: 0}
-    order = [root]
     stack = [None, root]  # popping the None ends the walk
     for u in iter(stack.pop, None):
         for v in adj.get(u, ()):
@@ -365,9 +364,8 @@ def _tree_parents(
             if v in parent:
                 return None
             parent[v] = u
-            order.append(v)
             stack.append(v)
-    return parent, order
+    return parent
 
 
 def _raise_to_subtree_max(parent: dict[int, int], value: dict) -> None:
@@ -377,8 +375,7 @@ def _raise_to_subtree_max(parent: dict[int, int], value: dict) -> None:
     list parents before children, as the map from ``_tree_parents`` does;
     ``value`` covers the same vertices and is updated in place.
     """
-    for v in reversed(parent):
-        p = parent[v]
+    for v, p in reversed(parent.items()):
         if p and value[v] > value[p]:
             value[p] = value[v]
 
@@ -394,10 +391,9 @@ def _required_levels(
     reached edges hold a cycle or a demanded vertex (the smallest such id
     is named) is not reached; unreached edges are the caller's concern.
     """
-    reached = _tree_parents(root, edges)
-    if reached is None:
+    parent = _tree_parents(root, edges)
+    if parent is None:
         raise ValueError("selected edges contain a cycle")
-    parent = reached[0]
     missing = [t for t in demands if t not in parent]
     if missing:
         raise ValueError(f"terminal {min(missing)} unreachable")

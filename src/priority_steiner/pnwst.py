@@ -48,6 +48,7 @@ from .instances import (
 from .paths import _dijkstra, _zeros, node_rate_search, search_scratch, stopped_search
 
 _DISCONNECTED = "no finite merge: terminal set is disconnected"
+CHARGING_MODES = ("residual", "full")
 
 
 @dataclass
@@ -241,7 +242,7 @@ def minimize_merge_ratio(
     """
     if len(forest.trees) < 2:
         raise ValueError("merging needs at least two trees")
-    if charging not in ("residual", "full"):
+    if charging not in CHARGING_MODES:
         raise ValueError(f"unknown charging mode {charging!r}")
     cache = _Searches() if _searches is None else _searches
     n = inst.graph.n
@@ -490,6 +491,8 @@ def greedy_merge(inst: PnwstInstance, charging: str = "residual") -> PnwstRunRep
     ``gen_tightness_pnwst`` meets the bound exactly: its weight is
     2 * (H(|T| + 1) - 1) and its optimum is 1.
     """
+    if charging not in CHARGING_MODES:
+        raise ValueError(f"unknown charging mode {charging!r}")
     forest = init_rate_forest(inst)
     records: list[IterationRecord] = []
     searches = _Searches()

@@ -11,17 +11,22 @@ root, center, or leaf role.  The marked vertices in the spiders partition M,
 which is what the per-iteration accounting of the greedy node-weighted
 solver rests on.
 
-Both run on the parents-first parent map of ``RateTree.parents``.  One
-trimming pass, ``_trim``, serves ``marked_optimize``, ``is_marked_optimized``
-(a tree is optimized when trimming leaves it unchanged) and every cut of
-the decomposition, which never rebuilds a ``RateTree`` or walks the tree
+Both run on the parents-first parent map of ``RateTree.parents``, the map
+``_tree_parents`` returns, checked for connection.  One trimming pass,
+``_trim``, serves ``marked_optimize``, ``is_marked_optimized`` (a tree is
+optimized when trimming leaves it unchanged) and every cut of the
+decomposition, which never rebuilds a ``RateTree`` or walks the tree
 again.  A level that rises from parent to child is refused with a
 ValueError.
 
+``RateTree`` and ``RateSpider`` share one base, ``_Shape``, which reads the
+vertex set and the vertex degrees from the root and the edges.
+
 ``verify_spider`` checks a spider on one walk from its root: the center's
 legs are implied by the branching and level checks, so they get no walk of
-their own.  The verifiers report a center off the spider or a vertex
-without a level instead of raising.
+their own, and the branching checks read the same degree count as
+``RateSpider.leaves``.  The verifiers report a center off the spider or a
+vertex without a level instead of raising.
 
 These structures verify the solver's guarantee; the solver itself never
 calls them.
@@ -34,8 +39,30 @@ from dataclasses import dataclass
 from .instances import _raise_to_subtree_max, _tree_parents, canonical_edge
 
 
+class _Shape:
+    """The vertex set and degrees of a tree given by ``root`` and ``edges``.
+
+    ``RateTree`` and ``RateSpider`` are built on it; both keep their edges
+    as a tuple of vertex pairs.
+    """
+
+    @property
+    def vertices(self) -> set[int]:
+        out = {u for e in self.edges for u in e}
+        out.add(self.root)
+        return out
+
+    def degrees(self) -> dict[int, int]:
+        """Each vertex's edge count; the root alone counts 0."""
+        deg = {v: 0 for v in self.vertices}
+        for (u, v) in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
+
+
 @dataclass
-class RateTree:
+class RateTree(_Shape):
     """Rooted tree with per-vertex levels."""
 
     root: int
@@ -45,22 +72,15 @@ class RateTree:
     def __post_init__(self) -> None:
         self.edges = tuple(sorted(canonical_edge(*e) for e in self.edges))
 
-    @property
-    def vertices(self) -> set[int]:
-        out = {u for e in self.edges for u in e}
-        out.add(self.root)
-        return out
-
     def parents(self) -> dict[int, int]:
         """Parent map, parents first, the root mapped to 0.
 
         Children come in ascending id order.  Raises on cycles or
         disconnection.
         """
-        reached = _tree_parents(self.root, self.edges)
-        if reached is None:
+        parent = _tree_parents(self.root, self.edges)
+        if parent is None:
             raise ValueError("edges contain a cycle")
-        parent = reached[0]
         if len(parent) != len(self.vertices):
             raise ValueError("tree is disconnected")
         return parent
@@ -71,7 +91,7 @@ class RateTree:
 
 
 @dataclass(frozen=True)
-class RateSpider:
+class RateSpider(_Shape):
     """A spider cut out of a rate tree, with designated root and center."""
 
     root: int
@@ -79,19 +99,10 @@ class RateSpider:
     rates: dict[int, int]
     edges: tuple[tuple[int, int], ...]
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        out = {u for e in self.edges for u in e}
-        out.add(self.root)
-        return frozenset(out)
-
     def leaves(self) -> set[int]:
-        deg: dict[int, int] = {v: 0 for v in self.vertices}
-        for (u, v) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        if len(self.vertices) == 1:
-            return set(self.vertices)
+        deg = self.degrees()
+        if len(deg) == 1:
+            return set(deg)
         return {v for v, d in deg.items() if d == 1}
 
 
@@ -179,17 +190,15 @@ def decompose_rate_spiders(
     spiders: list[RateSpider] = []
     while True:
         counts = {v: int(v in remaining) for v in parent}
-        for v in reversed(parent):
-            if parent[v]:
-                counts[parent[v]] += counts[v]
+        for v, p in reversed(parent.items()):
+            if p:
+                counts[p] += counts[v]
         u = max((v for v in parent if counts[v] >= 2), key=lambda v: (depth[v], -v))
         # The subtree at u: parents come first, so one sweep collects it.
-        members = {u}
-        body = [u]
+        body = {u: parent[u]}
         for v, p in parent.items():
-            if p in members:
-                members.add(v)
-                body.append(v)
+            if p in body:
+                body[v] = p
         if u in remaining:
             spider_root = u
         else:
@@ -200,21 +209,23 @@ def decompose_rate_spiders(
                 )
             spider_root = min(with_rate)
 
-        rest = remaining - members
+        rest = remaining - body.keys()
         if len(rest) == 1:
             if rest != {tree.root}:
                 raise RuntimeError(f"last marked vertex {min(rest)} is not the root")
             # Every leaf is marked, so all that is left beside the subtree
             # is the root-to-u path: it joins this last spider.
-            body, spider_root = list(parent), tree.root
-        # body[0] is the spider's top vertex, and its parent lies outside.
-        edges = tuple(sorted(canonical_edge(parent[v], v) for v in body[1:]))
+            body, spider_root = parent, tree.root
+        # Only the spider's top vertex has its parent outside the body.
+        edges = tuple(
+            sorted(canonical_edge(p, v) for v, p in body.items() if p in body)
+        )
         rated = {v: rates[v] for v in body}
         spiders.append(RateSpider(spider_root, u, rated, edges))
         if len(rest) <= 1:
             return SpiderDecomposition(tuple(spiders), frozenset(marked))
         parent, rates = _trim(
-            {v: p for v, p in parent.items() if v not in members}, rates, rest
+            {v: p for v, p in parent.items() if v not in body}, rates, rest
         )
         remaining = rest
 
@@ -229,28 +240,21 @@ def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:
     the center lies on the root's path to every other leaf, so each leg
     runs away from the root and the level check covers it.
     """
-    out: list[str] = []
-    verts = spider.vertices
+    degree = spider.degrees()
     rates = spider.rates
-    if len(spider.edges) != len(verts) - 1:
-        out.append("not a tree (edge count)")
-        return out
-    reached = _tree_parents(spider.root, spider.edges)
-    if reached is None or len(reached[0]) != len(verts):
-        out.append("not connected")
-        return out
-    parent, order = reached
-    if spider.center not in verts:
+    if len(spider.edges) != len(degree) - 1:
+        return ["not a tree (edge count)"]
+    parent = _tree_parents(spider.root, spider.edges)
+    if parent is None or len(parent) != len(degree):
+        return ["not connected"]
+    out: list[str] = []
+    if spider.center not in degree:
         out.append("center is not a vertex of the spider")
-    unrated = verts - rates.keys()
+    unrated = degree.keys() - rates.keys()
     if unrated:
         out.append(f"vertex {min(unrated)} has no level")
-    degree = {v: 0 for v in verts}
-    for (u, v) in spider.edges:
-        degree[u] += 1
-        degree[v] += 1
 
-    big = [v for v in verts if degree[v] > 2]
+    big = [v for v, d in degree.items() if d > 2]
     if len(big) > 1:
         out.append(f"two vertices of degree > 2: {sorted(big)}")
     if big and big[0] != spider.center:
@@ -266,9 +270,8 @@ def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:
         out.append("unmarked leaf")
 
     # Non-increasing levels away from the root, where both have one.
-    for v in order[1:]:
-        p = parent[v]
-        if v in rates and p in rates and rates[v] > rates[p]:
+    for v, p in parent.items():
+        if p and v in rates and p in rates and rates[v] > rates[p]:
             out.append(f"level increases from {p} to {v}")
     return out
 
@@ -280,17 +283,17 @@ def verify_decomposition(
     out: list[str] = []
     tree_edges = set(tree.edges)
     seen: set[int] = set()
-    covered: set[int] = set()
     total = 0
     for i, sp in enumerate(decomp.spiders):
         for msg in verify_spider(sp, marked):
             out.append(f"spider {i}: {msg}")
-        if sp.vertices & seen:
+        verts = sp.vertices
+        if verts & seen:
             out.append(f"spider {i} overlaps another spider")
-        seen |= sp.vertices
+        seen |= verts
         if not set(sp.edges) <= tree_edges:
             out.append(f"spider {i} uses edges outside the tree")
-        for v in sp.vertices & sp.rates.keys():
+        for v in verts & sp.rates.keys():
             # Later cuts come from a re-optimized remainder, which may have
             # lowered unmarked levels; marked levels never move.  A vertex
             # without a level is reported by verify_spider.
@@ -299,14 +302,13 @@ def verify_decomposition(
                     out.append(f"spider {i} changed the level of marked {v}")
             elif not (1 <= sp.rates[v] <= tree.rates.get(v, 0)):
                 out.append(f"spider {i} raised the level of {v}")
-        inside = marked & set(sp.vertices)
-        covered |= inside
+        inside = marked & verts
         total += 1 + len(inside - {sp.root})
         roles = sp.leaves() | {sp.root, sp.center}
         if not inside <= roles:
             out.append(f"spider {i}: marked vertex without a role")
-    if covered != set(marked):
-        out.append(f"marked vertices not covered: {sorted(set(marked) - covered)}")
+    if not seen >= marked:
+        out.append(f"marked vertices not covered: {sorted(set(marked) - seen)}")
     if total != len(marked):
         out.append(f"size accounting {total} != |marked| {len(marked)}")
     return out

@@ -427,10 +427,9 @@ def _check_pst(inst: PstInstance, sol: EdgeRateSolution) -> Optional[str]:
     for pair in sol.rates:
         if pair not in inst.graph.edge_index:
             return f"unknown edge ({pair[0]},{pair[1]})"
-    reached = _tree_parents(inst.source, sol.rates)
-    if reached is None:
+    parent = _tree_parents(inst.source, sol.rates)
+    if parent is None:
         return "selected edges contain a cycle"
-    parent, _ = reached
     for t in sorted(inst.terminals):
         if t not in parent:
             return f"terminal {t} unreachable"
@@ -463,10 +462,9 @@ def _check_pnwst(inst: PnwstInstance, sol: VertexRateSolution) -> Optional[str]:
             return f"unknown edge ({u},{v})"
         if u not in selected or v not in selected:
             return f"edge ({u},{v}) touches an unselected vertex"
-    reached = _tree_parents(inst.source, sol.edges)
-    if reached is None:
+    parent = _tree_parents(inst.source, sol.edges)
+    if parent is None:
         return "selected edges contain a cycle"
-    parent, _ = reached
     for t in sorted(inst.terminals):
         if t not in parent:
             return f"terminal {t} unreachable"
@@ -498,10 +496,10 @@ def reference_structure(
     ``parent`` lists vertices parents first and children lists are in
     ascending id order.
     """
-    reached = _tree_parents(self.root, self.edges)
-    if reached is None:
+    parent = _tree_parents(self.root, self.edges)
+    if parent is None:
         raise ValueError("edges contain a cycle")
-    parent, order = reached
+    order = list(parent)
     if len(parent) != len(self.vertices):
         raise ValueError("tree is disconnected")
     children: dict[int, list[int]] = {v: [] for v in order}

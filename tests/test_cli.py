@@ -584,6 +584,17 @@ class TestCheck:
         assert err.startswith(f"error: line {len(solution.splitlines())}: ")
         assert "outside 0..1" in err
 
+    def test_repeated_tree_edge_exit_two(self, capsys, tmp_path):
+        # Parsed before, then reported as a cycle with exit 1.
+        inst, sol = tmp_path / "inst.txt", tmp_path / "sol.txt"
+        inst.write_text("PNWST 1\nk 1\nnodes 2\nsource 1\nterminal 2 1\nedge 1 2\n")
+        sol.write_text("rate 1 1\nrate 2 1\nedge 1 2\nedge 2 1\n")
+        code = main(["check", str(inst), str(sol)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 4: edge (1,2) listed twice\n"
+
     def test_infeasible_solution_exit_one(self, capsys, tmp_path, single_edge_file):
         sol = tmp_path / "sol.txt"
         sol.write_text("rate 1-2 1\n")  # below the terminal's priority

@@ -274,6 +274,32 @@ class TestSolutions:
         assert err.value.line_no == line
         assert f"outside 0..{inst.graph.k}" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "instance,text,message",
+        [
+            (
+                "PST 1\nk 1\nnodes 2\nsource 1\nedge 1 2 1\n",
+                "rate 1-2 1\nrate 2-1 1\n",
+                "line 2: edge (1,2) rated twice",
+            ),
+            (
+                "PNWST 1\nk 1\nnodes 2\nsource 1\nedge 1 2\n",
+                "rate 1 1\nrate 1 1\n",
+                "line 2: vertex 1 rated twice",
+            ),
+            (
+                "PNWST 1\nk 1\nnodes 2\nsource 1\nedge 1 2\n",
+                "rate 1 1\nrate 2 1\nedge 1 2\nedge 2 1\n",
+                "line 4: edge (1,2) listed twice",
+            ),
+        ],
+        ids=["rate-edge", "rate-vertex", "tree-edge"],
+    )
+    def test_repeated_record_rejected_at_its_line(self, instance, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_solution(text, parse_instance(instance))
+        assert str(err.value) == message
+
 
 class TestRateTrees:
     def test_round_trip_and_decomposition_rendering(self):

@@ -248,11 +248,20 @@ def _mutate(inst, sol, mutation, rng):
     return VertexRateSolution(rates, tuple(edges))
 
 
+def test_tree_parents_returns_the_parent_map_alone():
+    # Keyed parents first, each vertex's children in ascending id order.
+    parent = _tree_parents(1, [(2, 3), (1, 2)])
+    assert parent == {1: 0, 2: 1, 3: 2}
+    parent = _tree_parents(1, [(3, 5), (1, 3), (2, 4), (1, 2)])
+    assert list(parent.items()) == [(1, 0), (2, 1), (3, 1), (5, 3), (4, 2)]
+    assert _tree_parents(1, [(1, 2), (2, 3), (1, 3)]) is None
+
+
 def _required_by_path_walks(inst, sol):
     """Each element's required level, found by walking every terminal's
     path to the source; the solution must be a tree holding them all."""
     pst = isinstance(sol, EdgeRateSolution)
-    parent, _ = _tree_parents(inst.source, list(sol.rates) if pst else sol.edges)
+    parent = _tree_parents(inst.source, list(sol.rates) if pst else sol.edges)
     need = {}
     for t, lvl in inst.terminals.items():
         path = [t]

@@ -193,10 +193,10 @@ class TestGreedyMerge:
     def test_canonical_output_has_non_increasing_levels(self, seed):
         inst = gen_random_pnwst(9, 0.4, 3, 0.5, seed)
         rep = greedy_merge(inst)
-        parent, order = _tree_parents(inst.source, rep.solution.edges)
-        for v in order:
-            if v != inst.source:
-                assert rep.solution.rates[parent[v]] >= rep.solution.rates[v]
+        parent = _tree_parents(inst.source, rep.solution.edges)
+        for v, p in parent.items():
+            if p:
+                assert rep.solution.rates[p] >= rep.solution.rates[v]
 
     @given(st.integers(0, 300))
     @settings(max_examples=15, deadline=None)
@@ -303,6 +303,16 @@ class TestPrunedScan:
         inst = gen_tightness_pnwst(3)
         with pytest.raises(ValueError, match="unknown charging mode 'partial'"):
             minimize_merge_ratio(inst, init_rate_forest(inst), "partial")
+
+    @pytest.mark.parametrize("terminals", [{}, {2: 1}])
+    def test_greedy_merge_checks_the_mode_with_nothing_to_merge(self, terminals):
+        # With no terminal the merge scan never runs, so greedy_merge must
+        # check the mode itself.
+        inst = PnwstInstance(
+            PriorityGraph(2, [(1, 2)], 1), 1, terminals, [(0.0,), (0.0,)]
+        )
+        with pytest.raises(ValueError, match="unknown charging mode 'bogus'"):
+            greedy_merge(inst, "bogus")
 
     def test_disconnected_terminals_raise_value_error(self):
         g = PriorityGraph(4, [(1, 2), (3, 4)], 1)

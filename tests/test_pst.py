@@ -255,10 +255,10 @@ class TestVoronoiConstruction:
             if len(terms) == 1:
                 assert tree == set()
                 continue
-            reached = _tree_parents(inst.source, tree)
-            assert reached is not None  # acyclic
+            parent = _tree_parents(inst.source, tree)
+            assert parent is not None  # acyclic
             touched = {u for e in tree for u in e}
-            assert set(reached[0]) == touched >= terms
+            assert set(parent) == touched >= terms
             degree = Counter(u for e in tree for u in e)
             assert {u for u, d in degree.items() if d == 1} <= terms
 

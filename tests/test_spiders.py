@@ -276,6 +276,17 @@ class TestVerifiers:
         decomp = SpiderDecomposition((spider,), frozenset(marked))
         assert f"spider 0: {message}" in verify_decomposition(tree, marked, decomp)
 
+    @pytest.mark.parametrize(
+        "edges,leaves",
+        [((), {1}), (((2, 3), (2, 4), (3, 4)), set())],
+        ids=["no-edges", "cycle-off-the-root"],
+    )
+    def test_leaves_of_degenerate_spiders(self, edges, leaves):
+        # A lone root is its own leaf; edges without a degree-1 vertex give
+        # no leaf at all, not the root.
+        spider = RateSpider(1, 1, {v: 1 for v in range(1, 5)}, edges)
+        assert spider.leaves() == leaves
+
     def test_disconnected_tree_has_no_parents(self):
         tree = RateTree(1, {1: 1, 2: 1, 3: 1, 4: 1}, ((1, 2), (3, 4)))
         with pytest.raises(ValueError, match="tree is disconnected"):

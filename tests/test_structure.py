@@ -357,6 +357,30 @@ def test_one_spider_walk():
     assert len(walks) == 1, walks
 
 
+def test_one_tree_shape():
+    # Rate trees and spiders share one vertex set and one degree count:
+    # ``vertices`` is defined once, and only ``degrees`` counts edge ends,
+    # for both ``leaves`` and the branching checks of ``verify_spider``.
+    tree = _modules()["spiders.py"]
+    fns = _functions(tree)
+    names = [fn.name for fn in fns]
+    assert names.count("vertices") == 1, names
+    counters = sorted(
+        fn.name
+        for fn in fns
+        if any(
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.value, ast.Constant)
+            and node.value.value == 1
+            for node in ast.walk(fn)
+        )
+    )
+    assert counters == ["degrees"], counters
+    readers = sorted(fn.name for fn in fns if _calls(fn, "degrees"))
+    assert readers == ["leaves", "verify_spider"], readers
+
+
 def test_one_solver_table():
     # Each solver and oracle the command line runs is named once, as a bare
     # function in a module-level table; lookups read the tables and the
