@@ -9,6 +9,10 @@ weight tables and the level assignment live on vertices instead.
 Levels are indices 1..k (0 means "not selected"), and every algorithm
 compares indices only.  Weight at level 0 is always 0.
 
+A graph's two derived tables, ``PriorityGraph.adjacency`` for the searches
+and ``PriorityGraph.edge_index`` for the edge checks, are cached properties:
+each is built on its first read and kept.
+
 The kernels shared by the whole package live here.  ``_tree_parents``
 walks a rooted tree and returns its parent map (the root mapped to 0),
 keyed parents first with each vertex's children in ascending id order; the
@@ -31,6 +35,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -68,36 +73,30 @@ class PriorityGraph:
             for (u, v) in edges:
                 if not (1 <= u <= self.n and 1 <= v <= self.n):
                     raise ValueError(f"edge ({u},{v}) references unknown vertex")
-        self._adj: Optional[list[list[tuple[int, int]]]] = None
-        self._edge_index: Optional[dict[tuple[int, int], int]] = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """adjacency[v] = sorted list of (neighbour, edge id)."""
-        if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n + 1)]
-            for eid, (u, v) in enumerate(self.edges):
-                if u != v:
-                    adj[u].append((v, eid))
-                    adj[v].append((u, eid))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n + 1)]
+        for eid, (u, v) in enumerate(self.edges):
+            if u != v:
+                adj[u].append((v, eid))
+                adj[v].append((u, eid))
+        for lst in adj:
+            lst.sort()
+        return adj
 
-    @property
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Canonical pair -> edge id (first occurrence wins)."""
-        if self._edge_index is None:
-            idx: dict[tuple[int, int], int] = {}
-            for eid, pair in enumerate(self.edges):
-                idx.setdefault(pair, eid)
-            self._edge_index = idx
-        return self._edge_index
+        idx: dict[tuple[int, int], int] = {}
+        for eid, pair in enumerate(self.edges):
+            idx.setdefault(pair, eid)
+        return idx
 
 
 def _init_rows(inst, rows: Sequence, count: int, element: str) -> None:
@@ -160,9 +159,10 @@ class PstInstance:
         return _column(self._columns, self.edge_weights, level, [])
 
     def weight_of_pair(self, pair: tuple[int, int], level: int) -> float:
-        eid = self.graph.edge_index.get(canonical_edge(*pair))
+        pair = canonical_edge(*pair)
+        eid = self.graph.edge_index.get(pair)
         if eid is None:
-            raise ValueError(f"unknown edge {pair}")
+            raise ValueError("unknown edge ({},{})".format(*pair))
         return self.weight(eid, level)
 
 
@@ -222,10 +222,6 @@ class VertexRateSolution:
         object.__setattr__(
             self, "edges", tuple(sorted(canonical_edge(*e) for e in self.edges))
         )
-
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(self.rates)
 
 
 Solution = Union[EdgeRateSolution, VertexRateSolution]

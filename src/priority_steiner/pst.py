@@ -83,7 +83,7 @@ def remove_cycles(
             continue
         eid = idx.get(pair)
         if eid is None:
-            raise ValueError(f"unknown edge {pair}")
+            raise ValueError("unknown edge ({},{})".format(*pair))
         entries.append((-lvl, inst.weight(eid, lvl), eid, pair))
     entries.sort()
     ds = _DisjointSets(inst.graph.n)

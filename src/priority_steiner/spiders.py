@@ -11,13 +11,16 @@ root, center, or leaf role.  The marked vertices in the spiders partition M,
 which is what the per-iteration accounting of the greedy node-weighted
 solver rests on.
 
-Both run on the parents-first parent map of ``RateTree.parents``, the map
-``_tree_parents`` returns, checked for connection.  One trimming pass,
-``_trim``, serves ``marked_optimize``, ``is_marked_optimized`` (a tree is
-optimized when trimming leaves it unchanged) and every cut of the
-decomposition, which never rebuilds a ``RateTree`` or walks the tree
-again.  A level that rises from parent to child is refused with a
-ValueError.
+Each entry walks its tree once, in ``_checked_parents``: the parents-first
+parent map ``_tree_parents`` returns, checked for connection, for a level
+on every vertex and for levels that never rise from parent to child (a
+breach raises ValueError).  That is the one check of a rate tree's level
+rule; ``verify_spider`` reports the same rule for a spider.  One trimming
+pass, ``_trim``, runs on that map for ``marked_optimize``,
+``is_marked_optimized`` (a tree is optimized when trimming leaves it
+unchanged) and every cut of the decomposition, which checks its input on
+the same map, never rebuilds a ``RateTree`` and never walks the tree
+again.
 
 ``RateTree`` and ``RateSpider`` share one base, ``_Shape``, which reads the
 vertex set and the vertex degrees from the root and the edges.
@@ -72,23 +75,6 @@ class RateTree(_Shape):
     def __post_init__(self) -> None:
         self.edges = tuple(sorted(canonical_edge(*e) for e in self.edges))
 
-    def parents(self) -> dict[int, int]:
-        """Parent map, parents first, the root mapped to 0.
-
-        Children come in ascending id order.  Raises on cycles or
-        disconnection.
-        """
-        parent = _tree_parents(self.root, self.edges)
-        if parent is None:
-            raise ValueError("edges contain a cycle")
-        if len(parent) != len(self.vertices):
-            raise ValueError("tree is disconnected")
-        return parent
-
-    def is_rate_tree(self) -> bool:
-        parent = self.parents()
-        return all(not p or self.rates[p] >= self.rates[v] for v, p in parent.items())
-
 
 @dataclass(frozen=True)
 class RateSpider(_Shape):
@@ -129,36 +115,59 @@ def _trim(
     return kept, {v: (rates[v] if v in marked else high[v]) for v in kept}
 
 
+def _checked_parents(tree: RateTree, marked: set[int]) -> dict[int, int] | None:
+    """The tree's parents-first parent map, the root mapped to 0.
+
+    None when the root is unmarked or a mark lies off the tree; otherwise
+    the one walk of the tree, with children in ascending id order.  Raises
+    ValueError on a cycle, a disconnection, a vertex without a level or a
+    level that rises from parent to child, naming the smallest-id such
+    vertex.
+    """
+    if tree.root not in marked or not set(marked) <= tree.vertices:
+        return None
+    parent = _tree_parents(tree.root, tree.edges)
+    if parent is None:
+        raise ValueError("edges contain a cycle")
+    if len(parent) != len(tree.vertices):
+        raise ValueError("tree is disconnected")
+    rates = tree.rates
+    unrated = parent.keys() - rates.keys()
+    if unrated:
+        raise ValueError(f"vertex {min(unrated)} has no level")
+    rising = [v for v, p in parent.items() if p and rates[v] > rates[p]]
+    if rising:
+        v, p = min(rising), parent[min(rising)]
+        raise ValueError(f"level rises from {rates[p]} to {rates[v]} on edge {p}-{v}")
+    return parent
+
+
 def marked_optimize(tree: RateTree, marked: set[int]) -> RateTree:
     """Prune unmarked leaves and set unmarked levels to subtree marked maxima.
 
     The root must be marked, every marked vertex must be in the tree (else
     ValueError names the smallest-id one that is not) and the input must be
-    a rate tree; a level that rises from parent to child raises ValueError
-    naming the smallest-id such child.  Marked vertices keep their levels.
-    The result is again a rate tree and never weighs more than the input
-    under any monotone weight table.  Applying it twice changes nothing.
+    a rate tree: a vertex without a level, or a level that rises from
+    parent to child, raises ValueError naming the smallest-id such vertex.
+    Marked vertices keep their levels.  The result is again a rate tree and
+    never weighs more than the input under any monotone weight table.
+    Applying it twice changes nothing.
     """
-    if tree.root not in marked:
-        raise ValueError("root must be marked")
-    missing = set(marked) - tree.vertices
-    if missing:
-        raise ValueError(f"marked vertex {min(missing)} does not belong to the tree")
-    parent = tree.parents()
-    rates = tree.rates
-    rising = [v for v, p in parent.items() if p and rates[v] > rates[p]]
-    if rising:
-        v, p = min(rising), parent[min(rising)]
-        raise ValueError(f"level rises from {rates[p]} to {rates[v]} on edge {p}-{v}")
-    parent, rates = _trim(parent, rates, marked)
+    parent = _checked_parents(tree, marked)
+    if parent is None:
+        if tree.root not in marked:
+            raise ValueError("root must be marked")
+        missing = min(set(marked) - tree.vertices)
+        raise ValueError(f"marked vertex {missing} does not belong to the tree")
+    parent, rates = _trim(parent, tree.rates, marked)
     edges = tuple(canonical_edge(p, v) for v, p in parent.items() if p)
     return RateTree(tree.root, rates, edges)
 
 
 def is_marked_optimized(tree: RateTree, marked: set[int]) -> bool:
-    if tree.root not in marked or not set(marked) <= tree.vertices:
-        return False
-    return marked_optimize(tree, marked) == tree
+    parent = _checked_parents(tree, marked)
+    rates = tree.rates
+    return parent is not None and _trim(parent, rates, marked) == (parent, rates)
 
 
 def decompose_rate_spiders(
@@ -173,16 +182,17 @@ def decompose_rate_spiders(
     smallest-id marked vertex below u carrying u's level.  When only the root's mark
     remains afterwards, the root-to-u path joins that last spider; with two
     or more marks left the remainder is re-optimized and the hunt repeats.
-    All of it runs on the input's parent map, cut down after every spider.
+    All of it runs on the input's parent map, the one the optimality check
+    walks, cut down after every spider.
     """
     marked = set(marked)
     if len(marked) < 2:
         raise ValueError("at least two marked vertices are required")
-    if not is_marked_optimized(tree, marked):
+    parent = _checked_parents(tree, marked)
+    rates = tree.rates
+    if parent is None or _trim(parent, rates, marked) != (parent, rates):
         raise ValueError("tree is not optimized for the marked set")
 
-    parent = tree.parents()
-    rates = tree.rates
     depth = {}
     for v, p in parent.items():
         depth[v] = depth[p] + 1 if p else 0
@@ -257,7 +267,7 @@ def verify_spider(spider: RateSpider, marked: set[int]) -> list[str]:
     big = [v for v, d in degree.items() if d > 2]
     if len(big) > 1:
         out.append(f"two vertices of degree > 2: {sorted(big)}")
-    if big and big[0] != spider.center:
+    if big and spider.center not in big:
         out.append("center is not the branching vertex")
     leaves = spider.leaves()
     if len(leaves) < 2:

@@ -310,7 +310,6 @@ class TestRateTrees:
         )
         tree = parse_rate_tree(text)
         assert tree.root == 1
-        assert tree.is_rate_tree()
         from priority_steiner.spiders import decompose_rate_spiders, marked_optimize
 
         marked = {1, 3, 4}

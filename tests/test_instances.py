@@ -102,9 +102,15 @@ class TestSolutionWeight:
         assert solution_weight(inst, sol) == 1.0
 
     def test_unknown_edge_rejected(self):
+        # Every message names an unknown edge by its canonical pair, (u,v)
+        # with no space, as check_feasible does.
         inst = single_edge_pst()
-        with pytest.raises(ValueError):
-            solution_weight(inst, EdgeRateSolution({(1, 9): 1}))
+        sol = EdgeRateSolution({(9, 1): 1})
+        assert check_feasible(inst, sol) == "unknown edge (1,9)"
+        with pytest.raises(ValueError, match=r"^unknown edge \(1,9\)$"):
+            solution_weight(inst, sol)
+        with pytest.raises(ValueError, match=r"^unknown edge \(1,9\)$"):
+            inst.weight_of_pair((9, 1), 1)
 
     @pytest.mark.parametrize("vertex", [0, 9])
     def test_vertex_outside_the_graph_rejected(self, vertex):

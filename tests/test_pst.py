@@ -101,7 +101,7 @@ class TestRemoveCycles:
 
     def test_unknown_pair_rejected(self):
         inst = shared_prefix_instance()
-        with pytest.raises(ValueError, match=r"unknown edge \(1, 3\)"):
+        with pytest.raises(ValueError, match=r"unknown edge \(1,3\)"):
             remove_cycles(inst, {(1, 2): 2, (3, 1): 1})
 
     def test_level_zero_entries_dropped(self):

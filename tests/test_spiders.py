@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from priority_steiner.instances import _tree_parents
 from priority_steiner.spiders import (
     RateSpider,
     RateTree,
@@ -46,7 +47,6 @@ def layered_tree():
 class TestMarkedOptimize:
     def test_layered_tree_shrinks_and_relabels(self):
         tree, marked = layered_tree()
-        assert tree.is_rate_tree()
         out = marked_optimize(tree, marked)
         assert len(out.vertices) == 16
         assert out.vertices == tree.vertices - {8, 10, 17}
@@ -57,7 +57,6 @@ class TestMarkedOptimize:
         }
         assert dropped == {3: 2, 4: 1, 7: 2, 13: 1}
         assert is_marked_optimized(out, marked)
-        assert out.is_rate_tree()
 
     def test_fixed_point_when_leaves_marked_and_maximal(self):
         rates = {1: 2, 2: 2, 3: 1}
@@ -239,15 +238,16 @@ _UNREADABLE = {
 
 
 class TestVerifiers:
-    def test_verify_spider_flags_double_branching(self):
-        from priority_steiner.spiders import RateSpider
-
-        # Two degree-3 vertices: not a spider.
+    @pytest.mark.parametrize("center", [2, 4])
+    def test_verify_spider_flags_double_branching(self, center):
+        # Two degree-3 vertices: not a spider.  Both branch, so neither
+        # center is "not the branching vertex", whichever comes first in
+        # the vertex set.
         edges = ((1, 2), (2, 3), (2, 4), (4, 5), (4, 6))
-        rates = {v: 1 for v in range(1, 7)}
-        bad = RateSpider(1, 2, rates, edges)
-        msgs = verify_spider(bad, {1, 3, 5, 6})
-        assert any("degree > 2" in m for m in msgs)
+        bad = RateSpider(1, center, {v: 1 for v in range(1, 7)}, edges)
+        assert verify_spider(bad, {1, 3, 5, 6}) == [
+            "two vertices of degree > 2: [2, 4]"
+        ]
 
     def test_verify_spider_flags_increasing_levels(self):
         from priority_steiner.spiders import RateSpider
@@ -287,10 +287,22 @@ class TestVerifiers:
         spider = RateSpider(1, 1, {v: 1 for v in range(1, 5)}, edges)
         assert spider.leaves() == leaves
 
-    def test_disconnected_tree_has_no_parents(self):
-        tree = RateTree(1, {1: 1, 2: 1, 3: 1, 4: 1}, ((1, 2), (3, 4)))
-        with pytest.raises(ValueError, match="tree is disconnected"):
-            tree.parents()
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            (((1, 2), (3, 4)), "tree is disconnected"),
+            (((1, 2), (2, 3), (1, 3), (3, 4)), "edges contain a cycle"),
+        ],
+        ids=["disconnected", "cycle"],
+    )
+    def test_tree_that_is_no_tree_is_refused(self, edges, message):
+        tree = RateTree(1, {1: 1, 2: 1, 3: 1, 4: 1}, edges)
+        with pytest.raises(ValueError, match=message):
+            marked_optimize(tree, {1, 4})
+        with pytest.raises(ValueError, match=message):
+            is_marked_optimized(tree, {1, 4})
+        with pytest.raises(ValueError, match=message):
+            decompose_rate_spiders(tree, {1, 4})
 
     def test_marks_off_the_tree_are_not_optimized(self):
         tree, marked = layered_tree()
@@ -366,6 +378,42 @@ class TestNonRateTrees:
     )
     def test_rising_level_refused(self, rates, edges, message):
         tree = RateTree(1, rates, edges)
-        assert not tree.is_rate_tree()
         with pytest.raises(ValueError, match=message):
             marked_optimize(tree, set(rates))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [marked_optimize, is_marked_optimized, decompose_rate_spiders],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize(
+        "rates, edges, marked, message",
+        [
+            ({1: 2}, ((1, 2),), {1, 2}, "vertex 2 has no level"),
+            ({1: 2, 2: 1}, ((1, 2), (2, 3), (2, 4)), {1, 3, 4}, "vertex 3 has no"),
+            # Reported before the level that rises from 1 to 2 on edge 2-3.
+            ({1: 1, 2: 1, 3: 2}, ((1, 2), (2, 3), (1, 5)), {1, 3}, "vertex 5 has no"),
+        ],
+        ids=["leaf", "smallest-of-two", "before-rising"],
+    )
+    def test_vertex_without_level_refused(self, entry, rates, edges, marked, message):
+        tree = RateTree(1, rates, edges)
+        with pytest.raises(ValueError, match=message):
+            entry(tree, marked)
+
+
+def test_decomposition_walks_the_tree_once(monkeypatch):
+    # The optimality check and the cuts read one parent map.
+    from priority_steiner import spiders
+
+    calls = []
+
+    def counted(root, edges):
+        calls.append(root)
+        return _tree_parents(root, edges)
+
+    tree, marked = layered_tree()
+    tree = marked_optimize(tree, marked)
+    monkeypatch.setattr(spiders, "_tree_parents", counted)
+    decompose_rate_spiders(tree, marked)
+    assert calls == [tree.root]

@@ -463,3 +463,53 @@ def test_graph_holds_no_search_state():
     assert all(
         isinstance(value, ast.Name) and value.id in params for value in sources
     ), [ast.unparse(value) for value in sources]
+
+
+def test_derived_structure_built_once():
+    # The graph's tables are cached properties, not hand-written caches; the
+    # spider entries check a tree on one walk, never by running a second
+    # marked_optimize; and the level rule of rate trees is written once
+    # beside verify_spider's own report of it.
+    modules = _modules()
+    (graph,) = [
+        node
+        for node in modules["instances.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "PriorityGraph"
+    ]
+    stored = sorted(
+        target.attr
+        for node in ast.walk(graph)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Attribute)
+        and getattr(target.value, "id", None) == "self"
+        and target.attr in ("_adj", "_edge_index")
+    )
+    assert stored == [], stored
+    decorated = {
+        fn.name: [ast.unparse(d) for d in fn.decorator_list]
+        for fn in graph.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    for name in ("adjacency", "edge_index"):
+        assert decorated[name] == ["cached_property"], (name, decorated[name])
+
+    tree = modules["spiders.py"]
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("is_marked_optimized", "decompose_rate_spiders"):
+        assert not _calls(defs[name], "marked_optimize"), name
+    # Level comparisons: one rate table read on both sides of an order test.
+    ordered = (ast.Gt, ast.GtE, ast.Lt, ast.LtE)
+    comparing = sorted(
+        fn.name
+        for fn in _functions(tree)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and all(isinstance(op, ordered) for op in node.ops)
+        and all(
+            isinstance(x, ast.Subscript) and ast.unparse(x.value).endswith("rates")
+            for x in (node.left, *node.comparators)
+        )
+    )
+    outside = [name for name in comparing if name != "verify_spider"]
+    assert len(outside) == 1 and len(comparing) == 2, comparing
