@@ -9,6 +9,14 @@ weight tables and the level assignment live on vertices instead.
 Levels are indices 1..k (0 means "not selected"), and every algorithm
 compares indices only.  Weight at level 0 is always 0.
 
+Both instance classes price a level through one private method,
+``_costs(level)``, the one place that decides the pricing split: it
+returns a (vertex column, edge column) pair in which the flavour's own
+side holds its weights at the level, built once per level and cached, and
+the other side is ``_zeros``, one shared read-only all-zero column.  The
+searches, the solvers and the exact oracle read both columns from it and
+never test an instance's class.
+
 A graph's two derived tables, ``PriorityGraph.adjacency`` for the searches
 and ``PriorityGraph.edge_index`` for the edge checks, are cached properties:
 each is built on its first read and kept.
@@ -111,6 +119,20 @@ def _init_rows(inst, rows: Sequence, count: int, element: str) -> None:
     inst._columns = {}
 
 
+_ZEROS: list[float] = []
+
+
+def _zeros(count: int) -> list[float]:
+    """A shared all-zero cost column of at least ``count`` entries.
+
+    Every search reads it and none writes it, so one list serves all
+    graphs; it only ever grows, to the largest column asked for.
+    """
+    if len(_ZEROS) < count:
+        _ZEROS.extend([0.0] * (count - len(_ZEROS)))
+    return _ZEROS
+
+
 def _column(cache: dict, rows: Sequence, level: int, lead: list) -> list[float]:
     """Every row's weight at one level after ``lead``, built once per level.
 
@@ -154,9 +176,11 @@ class PstInstance:
             return 0.0
         return self.edge_weights[eid][level - 1]
 
-    def _level_column(self, level: int) -> list[float]:
-        """Every edge's weight at one level by edge id, built once per level."""
-        return _column(self._columns, self.edge_weights, level, [])
+    def _costs(self, level: int) -> tuple[list[float], list[float]]:
+        """(vertex column, edge column) at one level: the shared zeros, and
+        every edge's weight by edge id, built once per level."""
+        edge = _column(self._columns, self.edge_weights, level, [])
+        return _zeros(self.graph.n + 1), edge
 
     def weight_of_pair(self, pair: tuple[int, int], level: int) -> float:
         pair = canonical_edge(*pair)
@@ -185,10 +209,12 @@ class PnwstInstance:
             return 0.0
         return self.vertex_weights[v - 1][level - 1]
 
-    def _level_column(self, level: int) -> list[float]:
-        """Every vertex's weight at one level by vertex id, built once per
-        level; entry 0 is unused and 0.0."""
-        return _column(self._columns, self.vertex_weights, level, [0.0])
+    def _costs(self, level: int) -> tuple[list[float], list[float]]:
+        """(vertex column, edge column) at one level: every vertex's weight
+        by vertex id, built once per level (entry 0 unused and 0.0), and
+        the shared zeros."""
+        vertex = _column(self._columns, self.vertex_weights, level, [0.0])
+        return vertex, _zeros(self.graph.m)
 
 
 Instance = Union[PstInstance, PnwstInstance]

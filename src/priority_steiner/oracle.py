@@ -1,22 +1,27 @@
 """Exact optima by exhaustive tree enumeration, for desk-scale instances.
 
 Both oracles are one entry, ``_exact_search``, at every number of levels:
-it applies the edge guard, answers an instance without terminals with the
-source alone, picks the flavour's level tables and its disconnected
-message, and runs the search.
+it applies the edge guard, refuses an instance that breaks the model,
+answers an instance without terminals with the source alone, reads both
+cost columns per level, and runs the search.  The pruning bound holds
+only for weights that are nonnegative and never fall as the level rises,
+so an instance built in code that breaks either rule, or any other rule
+of ``instances.validate_instance`` but connectivity, raises ValueError
+with its first fault; a parsed instance has passed the same rules.
 Candidate trees are grown edge by edge from the source; every subtree of
 the graph containing the source is visited at most once via binary
 include/exclude branching with permanent exclusion.  Growing vertex x over
-edge e charges e's level table plus x's level table: the edge-weighted
-oracle passes all-zero vertex tables, the node-weighted one all-zero edge
-tables.  A grown tree is scored by its minimal feasible rates (each grown
-vertex pays both tables at the highest terminal priority in its subtree,
-the source pays its own table at the top level), so junk branches cost
-nothing and the scan can stop as soon as all terminals are reached.  The
-lower bound adds both level-1 weights per grown vertex, the vertex's own
-only when it is neither a terminal nor the source; it prunes against the
-best tree found so far.  The search calls no heuristic solver, so
-``enumerated`` counts the oracle's own trees only.
+edge e at a level charges e's entry of the level's edge column plus x's
+entry of its vertex column, as ``inst._costs(level)`` gives them: one side
+is the flavour's weights, the other the shared zeros.  A grown tree is
+scored by its minimal feasible rates (each grown vertex pays both columns
+at the highest terminal priority in its subtree, the source pays its
+vertex column at the top level), so junk branches cost nothing and the
+scan can stop as soon as all terminals are reached.  The lower bound adds
+both level-1 weights per grown vertex, the vertex's own only when it is
+neither a terminal nor the source; it prunes against the best tree found
+so far.  The search calls no heuristic solver, so ``enumerated`` counts
+the oracle's own trees only.
 
 The edge guard (``max_edges``) is the only size limit, for every k and both
 flavours.  These oracles refuse instances above it rather than approximate:
@@ -41,6 +46,7 @@ from .instances import (
     PnwstInstance,
     PstInstance,
     Solution,
+    _faults,
     _raise_to_subtree_max,
     forced_rates,
     solution_weight,
@@ -49,6 +55,7 @@ from .pnwst import _DISCONNECTED as _PNWST_DISCONNECTED
 from .pst import _DISCONNECTED as _PST_DISCONNECTED
 
 DEFAULT_MAX_EDGES = 24
+_DISCONNECTED = {"PST": _PST_DISCONNECTED, "PNWST": _PNWST_DISCONNECTED}
 
 
 class InstanceTooLargeError(ValueError):
@@ -65,33 +72,30 @@ class OracleResult:
 def _exact_search(inst: Instance, max_edges: int) -> OracleResult:
     """The include/exclude tree growth behind both oracles.
 
-    A grown edge is charged its level table and the vertex it adds that
-    vertex's table; the flavour's other side is all zeros.
+    A grown edge is charged its entry of the level's edge column and the
+    vertex it adds that vertex's entry of the vertex column.
     """
     g = inst.graph
     if g.m > max_edges:
         raise InstanceTooLargeError(
             f"instance has {g.m} edges, oracle guard allows {max_edges}"
         )
+    faults = _faults(inst)
+    if faults:
+        raise ValueError(faults[0][1])
     if not inst.terminals:
         return OracleResult(0.0, forced_rates(inst, ()), 0)
-    zeros = (0.0,) * g.k
-    if isinstance(inst, PstInstance):
-        edge_rows, vertex_rows = inst.edge_weights, [zeros] * (g.n + 1)
-        disconnected = _PST_DISCONNECTED
-    else:
-        edge_rows, vertex_rows = [zeros] * g.m, [zeros, *inst.vertex_weights]
-        disconnected = _PNWST_DISCONNECTED
+    costs = [inst._costs(level) for level in range(g.k + 1)]
     source = inst.source
     terms = set(inst.terminals)
     best = math.inf
 
-    edge_lb = [row[0] for row in edge_rows]
+    vertex_low, edge_lb = costs[1]
     vertex_lb = [
-        0.0 if v in terms or v == source else row[0]
-        for v, row in enumerate(vertex_rows)
+        0.0 if v in terms or v == source else w
+        for v, w in enumerate(vertex_low[: g.n + 1])
     ]
-    top = vertex_rows[source][g.k - 1]
+    top = costs[g.k][0][source]
     in_tree = [False] * (g.n + 1)
     in_tree[source] = True
     banned = [False] * g.m
@@ -110,7 +114,7 @@ def _exact_search(inst: Instance, max_edges: int) -> OracleResult:
         for v, eid in edge_of.items():
             lvl = high[v]
             if lvl > 0:
-                total += edge_rows[eid][lvl - 1] + vertex_rows[v][lvl - 1]
+                total += costs[lvl][1][eid] + costs[lvl][0][v]
         total += top
         if total < best:
             best = total
@@ -165,7 +169,7 @@ def _exact_search(inst: Instance, max_edges: int) -> OracleResult:
         ) from None
 
     if best_tree is None:
-        raise ValueError(disconnected)
+        raise ValueError(_DISCONNECTED[inst.kind])
     witness = forced_rates(inst, best_tree)
     weight = solution_weight(inst, witness)
     if abs(weight - best) >= 1e-9:

@@ -7,32 +7,33 @@ interior vertex prices over source-x paths, endpoints excluded, so adjacent
 vertices are at distance 0.
 
 Both are one search loop, ``_dijkstra``, in which stepping from u over
-edge e costs ``vertex_cost[u] + edge_cost[e]``.  The edge search passes
-zero vertex costs and the level's weight column (all zeros at level 0);
-the node search passes a copy of its vertex price column with the source's
-entry set to 0, which leaves the source and the endpoint x uncharged, and
-zero edge costs.  The column is the level's weights unless the caller
-passes another, such as the merge scan's residual charges.  The zeros are
-one shared read-only column, ``_zeros``, never built per call.
+edge e costs ``vertex_cost[u] + edge_cost[e]``.  Callers pass
+``inst._costs(level)``, the instance's (vertex column, edge column) pair,
+which prices one side and gives shared read-only zeros for the other.  The
+edge search passes the pair as it is: zero vertex costs and the level's
+edge weights (all zeros at level 0).  The node search passes a copy of its
+vertex price column with the source's entry set to 0, which leaves the
+source and the endpoint x uncharged, and the pair's zero edge costs.  The
+price column is the level's weights unless the caller passes another,
+such as the merge scan's residual charges.
 
 ``stopped_search`` is the one search that ends at the first vertex
 satisfying a predicate, in either flavour: the attachment solvers run it
-once per terminal with zero vertex costs and a level's edge weights, and
-the merge scan once per path it recovers with a charge column and zero
-edge costs.  The source's own vertex cost is never charged, as in the node
-search.  Every stopped search pushes nothing past the cheapest target it
-has pushed (``_dijkstra`` proves the answer the same), so it also writes
-nothing past it.  It settles a few dozen vertices of thousands, so it
-allocates nothing of the graph's size: the caller passes its ``dist`` and
-``parent`` lists, made once by ``search_scratch`` for a whole run of
-searches, all infinite and all zero on entry.  The loop appends every
-vertex it lowers to a touched list, and the search reads its answer and
-then resets exactly the touched entries, also when it raises, so the
-lists are clean for the caller's next search.  The graph holds no search
-state, so searches that own their scratch lists share nothing of one
-graph but read-only data; a process pool would rely on that.  Full
-searches allocate their lists: they reach every vertex anyway, and they
-return the lists.
+once per terminal with a level's two columns, and the merge scan once per
+path it recovers with a charge column and zero edge costs.  The source's
+own vertex cost is never charged, as in the node search.  Every stopped
+search pushes nothing past the cheapest target it has pushed
+(``_dijkstra`` proves the answer the same), so it also writes nothing past
+it.  It settles a few dozen vertices of thousands, so it allocates nothing
+of the graph's size: the caller passes its ``dist`` and ``parent`` lists,
+made once by ``search_scratch`` for a whole run of searches, all infinite
+and all zero on entry.  The loop appends every vertex it lowers to a
+touched list, and the search reads its answer and then resets exactly the
+touched entries, also when it raises, so the lists are clean for the
+caller's next search.  The graph holds no search state, so searches that
+own their scratch lists share nothing of one graph but read-only data; a
+process pool would rely on that.  Full searches allocate their lists: they
+reach every vertex anyway, and they return the lists.
 
 ``_dijkstra`` also updates a finished search in place: given its distance
 list and the vertices whose cost fell since, it reseeds from them at their
@@ -80,20 +81,6 @@ class PathResult:
             out.append(self.parent[out[-1]])
         out.reverse()
         return out
-
-
-_ZEROS: list[float] = []
-
-
-def _zeros(count: int) -> list[float]:
-    """A shared all-zero cost column of at least ``count`` entries.
-
-    Every search reads it and none writes it, so one list serves all
-    graphs; it only ever grows, to the largest column asked for.
-    """
-    if len(_ZEROS) < count:
-        _ZEROS.extend([0.0] * (count - len(_ZEROS)))
-    return _ZEROS
 
 
 def _dijkstra(
@@ -198,13 +185,7 @@ def edge_rate_search(
     srcs = tuple(sorted(set(sources)))
     if not srcs:
         raise ValueError("at least one source is required")
-    dist, parent, _ = _dijkstra(
-        inst.graph.adjacency,
-        srcs,
-        _zeros(inst.graph.n + 1),
-        inst._level_column(rate),
-        None,
-    )
+    dist, parent, _ = _dijkstra(inst.graph.adjacency, srcs, *inst._costs(rate), None)
     return PathResult(dist, parent, srcs)
 
 
@@ -265,11 +246,10 @@ def node_rate_search(
     entry 0 unused; by default it is y's weight at the level.  The column
     is read, never modified, and must be nonnegative.
     """
-    cost = list(inst._level_column(rate) if prices is None else prices)
+    weights, zero = inst._costs(rate)
+    cost = list(weights if prices is None else prices)
     cost[source] = 0.0
     if not min(cost) >= 0.0:  # a search could loop for ever (see _dijkstra)
         raise ValueError("vertex prices must be nonnegative")
-    dist, parent, _ = _dijkstra(
-        inst.graph.adjacency, (source,), cost, _zeros(inst.graph.m), None
-    )
+    dist, parent, _ = _dijkstra(inst.graph.adjacency, (source,), cost, zero, None)
     return PathResult(dist, parent, (source,))

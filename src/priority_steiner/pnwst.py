@@ -45,7 +45,7 @@ from .instances import (
     canonical_edge,
     forced_rates,
 )
-from .paths import _dijkstra, _zeros, node_rate_search, search_scratch, stopped_search
+from .paths import _dijkstra, node_rate_search, search_scratch, stopped_search
 
 _DISCONNECTED = "no finite merge: terminal set is disconnected"
 CHARGING_MODES = ("residual", "full")
@@ -253,7 +253,7 @@ def minimize_merge_ratio(
     # A vertex's charge per level, both as a path interior and as a center:
     # its weight there, less the weight at its paid level when charging
     # residually.
-    charges = [inst._level_column(b) for b in range(k + 1)]
+    charges = [inst._costs(b)[0] for b in range(k + 1)]
     if charging == "residual":
         paid = [charges[forest.rates.get(v, 0)][v] for v in range(n + 1)]
         charges = [[max(0.0, w - p) for w, p in zip(col, paid)] for col in charges]
@@ -312,7 +312,7 @@ def minimize_merge_ratio(
     if best is None:
         raise ValueError(_DISCONNECTED)
     score, total, h, r, v, b, sel = best
-    scratch, zero = search_scratch(inst.graph), _zeros(inst.graph.m)
+    scratch, zero = search_scratch(inst.graph), inst._costs(0)[1]
 
     def path_to_center(root: int, lvl: int) -> tuple[int, ...]:
         # A search stopped at v has settled v's whole path, so its parent
@@ -386,7 +386,7 @@ def _lower_residual(
     if not old:
         return lowered, fell
     adj = inst.graph.adjacency
-    zero = _zeros(inst.graph.m)
+    zero = inst._costs(0)[1]
     rose = [False] * (k + 1)
     for b in range(1, k + 1):
         pairs = list(zip(charges[b], old[b]))

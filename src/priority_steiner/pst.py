@@ -37,7 +37,7 @@ from .instances import (
     forced_rates,
     solution_weight,
 )
-from .paths import PathResult, _zeros, edge_rate_search, search_scratch, stopped_search
+from .paths import PathResult, edge_rate_search, search_scratch, stopped_search
 
 # An attachment search that ends without reaching its target (the tree, or
 # a higher-priority vertex, which the source always is) has exhausted a
@@ -116,9 +116,7 @@ def _attach(
     # The cheapest path at t's level from t to the first vertex satisfying
     # stop, as (that vertex, path cost, path from t), on the caller's lists.
     g, lvl = inst.graph, inst.terminals[t]
-    found = stopped_search(
-        g, t, _zeros(g.n + 1), inst._level_column(lvl), stop, scratch
-    )
+    found = stopped_search(g, t, *inst._costs(lvl), stop, scratch)
     if found is None:
         raise ValueError(_DISCONNECTED)
     return found
@@ -219,7 +217,7 @@ def _voronoi_tree(
     The union is a tree whose leaves are all terminals.
     """
     res = edge_rate_search(inst, terminals, level)
-    bridges = _bridge_mst(inst.graph, res, inst._level_column(level))
+    bridges = _bridge_mst(inst.graph, res, inst._costs(level)[1])
     if len(bridges) < len(res.sources) - 1:
         raise ValueError(_DISCONNECTED)
     parent = res.parent

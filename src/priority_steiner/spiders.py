@@ -165,6 +165,14 @@ def marked_optimize(tree: RateTree, marked: set[int]) -> RateTree:
 
 
 def is_marked_optimized(tree: RateTree, marked: set[int]) -> bool:
+    """True when ``marked_optimize`` would return the tree unchanged.
+
+    Answers False for an unmarked root, for a mark off the tree, or for a
+    tree that trimming would change.  It is no plain predicate on any
+    tree: like the other spider entries it raises ValueError on a cycle, a
+    disconnection, a vertex without a level or a level that rises from
+    parent to child.
+    """
     parent = _checked_parents(tree, marked)
     rates = tree.rates
     return parent is not None and _trim(parent, rates, marked) == (parent, rates)

@@ -20,6 +20,7 @@ from priority_steiner import (
     subdivide_to_node_weighted,
     validate_instance,
 )
+from priority_steiner import instances
 from priority_steiner.instances import _tree_parents, canonical_edge
 from priority_steiner.oracle import exact_pnwst, exact_pst
 from priority_steiner.pnwst import greedy_merge
@@ -381,6 +382,39 @@ class TestSubdivision:
         inst = single_edge_pst()
         assert exact_pst(inst).opt_weight == 3.0
         assert exact_pnwst(subdivide_to_node_weighted(inst)).opt_weight == 3.0
+
+
+def _rebuilt_costs(inst, level):
+    """The (vertex column, edge column) pair at ``level``, from the rows."""
+    g = inst.graph
+    if inst.kind == "PST":
+        edge = [row[level - 1] if level else 0.0 for row in inst.edge_weights]
+        return [0.0] * (g.n + 1), edge
+    vertex = [row[level - 1] if level else 0.0 for row in inst.vertex_weights]
+    return [0.0, *vertex], [0.0] * g.m
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_cost_columns_stay_read_only(seed):
+    # Every solver and both oracles read the cached columns and the shared
+    # zeros, and write neither: afterwards each level's pair still equals
+    # one rebuilt from the weight rows.
+    inst = gen_random_pst(7, 0.3, 3, 0.5, seed)
+    twin = subdivide_to_node_weighted(inst)
+    assert twin.graph.m <= 24
+    for solve in (attach_by_priority, attach_to_higher_priority, per_level_union):
+        solve(inst)
+    exact_pst(inst)
+    for charging in ("residual", "full"):
+        greedy_merge(twin, charging)
+    exact_pnwst(twin)
+    for case in (inst, twin):
+        for level in range(case.graph.k + 1):
+            vertex, edge = case._costs(level)
+            want_vertex, want_edge = _rebuilt_costs(case, level)
+            assert vertex[: len(want_vertex)] == want_vertex
+            assert edge[: len(want_edge)] == want_edge
+    assert not any(instances._ZEROS)
 
 
 class TestForcedRates:

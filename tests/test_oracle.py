@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priority_steiner import (
+    EdgeRateSolution,
     PnwstInstance,
     PriorityGraph,
     PstInstance,
@@ -124,6 +125,46 @@ def test_search_too_deep_to_run_is_refused(oracle, opt_of_20):
     with pytest.raises(InstanceTooLargeError, match="1499 edges, too deep"):
         oracle(_deep_path(oracle, 1500), max_edges=2000)
     assert oracle(_deep_path(oracle, 20)).opt_weight == opt_of_20
+
+
+_BREACH_EDGES = [(2, 3), (1, 3), (2, 4), (1, 4), (1, 2)]
+
+
+class TestModelBreach:
+    # The pruning bound assumes weights that are nonnegative and never fall
+    # as the level rises; an instance built in code that breaks either rule
+    # is refused with its first fault instead of answered wrongly.
+    def test_negative_edge_weight_refused(self):
+        # Unchecked, the search reported -4.0 here.
+        rows = [(-3.0,), (-3.0,), (4.0,), (-3.0,), (2.0,)]
+        g = PriorityGraph(4, _BREACH_EDGES, 1)
+        inst = PstInstance(g, 1, {2: 1, 3: 1, 4: 1}, rows)
+        lighter = EdgeRateSolution({(1, 3): 1, (1, 4): 1, (2, 3): 1})
+        assert check_feasible(inst, lighter) is None
+        assert solution_weight(inst, lighter) == -9.0
+        with pytest.raises(ValueError) as err:
+            exact_pst(inst)
+        assert str(err.value) == "negative or non-finite weight at edge (2,3)"
+
+    def test_falling_row_refused(self):
+        # Unchecked, the search reported 7.0 here.
+        rows = [(0.0, 1.0), (1.0, 1.0), (6.0, 0.0), (6.0, 6.0), (6.0, 6.0)]
+        g = PriorityGraph(4, _BREACH_EDGES, 2)
+        inst = PstInstance(g, 1, {4: 2, 2: 1}, rows)
+        lighter = EdgeRateSolution({(1, 3): 2, (2, 3): 2, (2, 4): 2})
+        assert check_feasible(inst, lighter) is None
+        assert solution_weight(inst, lighter) == 2.0
+        message = "monotonicity at edge (2,4): weights decrease as the level rises"
+        with pytest.raises(ValueError) as err:
+            exact_pst(inst)
+        assert str(err.value) == message
+
+    def test_negative_vertex_weight_refused(self):
+        g = PriorityGraph(3, [(1, 2), (2, 3)], 1)
+        inst = PnwstInstance(g, 1, {3: 1}, [(0.0,), (-2.0,), (0.0,)])
+        with pytest.raises(ValueError) as err:
+            exact_pnwst(inst)
+        assert str(err.value) == "negative or non-finite weight at vertex 2"
 
 
 class TestExactSteiner:

@@ -16,7 +16,7 @@ from priority_steiner import (
     node_rate_search,
 )
 
-from priority_steiner.paths import _dijkstra, _zeros, search_scratch, stopped_search
+from priority_steiner.paths import _dijkstra, search_scratch, stopped_search
 
 from helpers import (
     enum_edge_path_cost,
@@ -74,9 +74,7 @@ class TestEdgeSearch:
     def test_early_exit_predicate(self):
         inst = triangle()
         g = inst.graph
-        found = stopped_search(
-            g, 1, _zeros(g.n + 1), inst._level_column(1), (2).__eq__, search_scratch(g)
-        )
+        found = stopped_search(g, 1, *inst._costs(1), (2).__eq__, search_scratch(g))
         assert found == (2, 1.0, [1, 2])
 
 
@@ -130,9 +128,7 @@ class TestNodeSearch:
         inst = gen_tightness_pnwst(3)
         g = inst.graph
         stop = inst.terminals.__contains__
-        found = stopped_search(
-            g, 1, inst._level_column(1), _zeros(g.m), stop, search_scratch(g)
-        )
+        found = stopped_search(g, 1, *inst._costs(1), stop, search_scratch(g))
         assert found == (2, 0.5, [1, 6, 2])
 
 
@@ -252,10 +248,9 @@ def test_stopped_searches_match_a_textbook_search(case):
     adj, n = g.adjacency, g.n
     scratch = search_scratch(g)
     stop = targets.__contains__
-    zero_v, zero_e = _zeros(n + 1), _zeros(g.m)
     for rate in range(3):
-        edge_cost = pst._level_column(rate)
-        price = pnwst._level_column(rate)
+        zero_v, edge_cost = pst._costs(rate)
+        price, zero_e = pnwst._costs(rate)
         before = list(price)
         for s in range(1, n + 1):
             want = reference_stopped_search(adj, s, lambda u, e: edge_cost[e], stop)

@@ -177,7 +177,7 @@ def _level_groups(inst):
 
 def _checked_sweep(inst, sources, lvl):
     """The bridge sweep of one level's search, held to the full sort."""
-    col = inst._level_column(lvl)
+    col = inst._costs(lvl)[1]
     res = edge_rate_search(inst, sources, lvl)
     bridges = pst._bridge_mst(inst.graph, res, col)
     assert bridges == reference_bridge_mst(inst.graph, res, col)
@@ -192,7 +192,7 @@ class TestVoronoiConstruction:
         for seed in range(100):
             inst = gen_random_pst(10 + seed % 11, 0.3, 3, 0.5, seed)
             for lvl, terms in _level_groups(inst):
-                col = inst._level_column(lvl)
+                col = inst._costs(lvl)[1]
                 res = edge_rate_search(inst, terms, lvl)
                 bridges = pst._bridge_mst(inst.graph, res, col)
                 assert bridges == reference_bridge_mst(inst.graph, res, col)

@@ -25,8 +25,8 @@ from priority_steiner import (
     gen_random_pst,
     node_rate_search,
 )
-from priority_steiner import paths, pst
-from priority_steiner.paths import _zeros, search_scratch, stopped_search
+from priority_steiner import instances, pst
+from priority_steiner.paths import search_scratch, stopped_search
 
 from helpers import reference_stopped_search
 
@@ -35,7 +35,7 @@ def assert_clean(scratch):
     dist, parent = scratch
     assert all(d == math.inf for d in dist)
     assert not any(parent)
-    assert not any(paths._ZEROS)
+    assert not any(instances._ZEROS)
 
 
 @pytest.fixture
@@ -78,13 +78,11 @@ def split_instance(seed):
 
 def search(inst, source, rate, stop, scratch):
     """The attachment solvers' stopped search: edges priced at ``rate``."""
-    g = inst.graph
-    cost = inst._level_column(rate)
-    return stopped_search(g, source, _zeros(g.n + 1), cost, stop, scratch)
+    return stopped_search(inst.graph, source, *inst._costs(rate), stop, scratch)
 
 
 def expected(inst, source, rate, stop):
-    cost = inst._level_column(rate)
+    cost = inst._costs(rate)[1]
     adj = inst.graph.adjacency
     return reference_stopped_search(adj, source, lambda u, e: cost[e], stop)
 

@@ -1,14 +1,16 @@
 """Structure guard: each shared kernel has exactly one implementation.
 
 The search loop, the union-find, the oracle's tree growth and its one
-entry, and the instance rules are each written once in
-``src/priority_steiner``; these checks fail when a second copy appears, so a
-change to one of them has one place to go.
+entry, the split of a level's costs between vertices and edges, and the
+instance rules are each written once in ``src/priority_steiner``; these
+checks fail when a second copy appears, so a change to one of them has one
+place to go.
 The package also holds no ``assert`` statement, so its checks survive
 ``python -O``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import priority_steiner
@@ -122,8 +124,9 @@ def test_one_recursive_oracle_search():
 
 def test_one_exact_entry():
     # Both oracles are one entry: the guard, the answer without terminals,
-    # the zero tables of the flavour's other side and its disconnected
-    # message are decided in _exact_search, so the wrappers only call it.
+    # the level's cost columns and the disconnected message are decided in
+    # _exact_search, so the wrappers only call it.  The columns come from
+    # the instance's _costs; the oracle builds no all-zero table of its own.
     tree = _modules()["oracle.py"]
     defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
     for name in ("exact_pst", "exact_pnwst"):
@@ -131,21 +134,65 @@ def test_one_exact_entry():
         assert _callees(defs[name]) == {"_exact_search"}, (name, _callees(defs[name]))
         assert len(body) == 1 and isinstance(body[0], ast.Return), name
     zero_tables = sorted(
-        {
-            fn.name
-            for fn in _functions(tree)
-            for node in ast.walk(fn)
-            if isinstance(node, ast.BinOp)
-            and isinstance(node.op, ast.Mult)
-            and isinstance(node.left, ast.Tuple)
+        f"{fn.name}:{node.lineno}"
+        for fn in _functions(tree)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(
+            isinstance(side, (ast.Tuple, ast.List))
             and all(
-                isinstance(x, ast.Constant) and x.value == 0 for x in node.left.elts
+                isinstance(x, ast.Constant)
+                and type(x.value) in (int, float)
+                and x.value == 0
+                for x in side.elts
             )
-        }
+            for side in (node.left, node.right)
+        )
     )
-    assert zero_tables == ["_exact_search"], zero_tables
+    assert zero_tables == [], zero_tables
+    assert _calls(defs["_exact_search"], "_costs")
     answers = sorted(fn.name for fn in _functions(tree) if _calls(fn, "OracleResult"))
     assert answers == ["_exact_search"], answers
+
+
+def test_no_flavour_switch_outside_formats():
+    # Which side of a level a flavour prices is decided by the instances'
+    # _costs, so no module tests an instance's class, apart from the ones
+    # that own the instance and file formats.
+    forks = sorted(
+        f"{name}:{cls.lineno}"
+        for name, tree in _modules().items()
+        if name not in ("instances.py", "fileio.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "isinstance"
+        for cls in ast.walk(node.args[1])
+        if isinstance(cls, ast.Name) and cls.id in ("PstInstance", "PnwstInstance")
+    )
+    assert forks == [], forks
+
+
+def test_zeros_named_in_instances_only():
+    # The shared zero column is the other side of every _costs pair; the
+    # searches and solvers take it from there and never name it.
+    naming = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "instances.py"
+        and re.search(r"\b_(zeros|ZEROS)\b", path.read_text(encoding="utf-8"))
+    )
+    assert naming == [], naming
+
+
+def test_one_cost_method_per_instance_class():
+    classes = {
+        node.name: {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+        for node in _modules()["instances.py"].body
+        if isinstance(node, ast.ClassDef)
+    }
+    for name in ("PstInstance", "PnwstInstance"):
+        assert "_costs" in classes[name], name
+        assert "_level_column" not in classes[name], name
 
 
 def test_no_assert_statements():
